@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+RANDOM_MAX_N = 2048  # `gen random` cap: ~2M pair bits, a 2 MB .trn file
 
 
 def _load(path: str) -> Tournament:
@@ -92,7 +93,12 @@ def _gen(args) -> int:
     elif fam == "blowup":
         t = make_cyclic_blowup(_csv_ints(params[0]))
     elif fam == "random":
-        t = random_tournament(int(params[0]), args.seed)
+        n = int(params[0])
+        if n > RANDOM_MAX_N:
+            raise InfeasibleSizeError(
+                f"gen random is capped at {RANDOM_MAX_N} vertices, got {n}"
+            )
+        t = random_tournament(n, args.seed)
     else:
         print(f"unknown family {fam!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -172,6 +178,12 @@ def _speed(args) -> int:
 def _subcount(args) -> int:
     if args.cyclic:
         result = {"n": args.n, "count": count_cyclic_subs(args.n)}
+    elif args.flags is None:
+        print("subcount needs --flags or --cyclic", file=sys.stderr)
+        return EXIT_USAGE
+    elif args.m is None and not args.scan:
+        print("subcount --flags needs --m or --scan", file=sys.stderr)
+        return EXIT_USAGE
     else:
         flags = tuple(_csv_ints(args.flags))
         if args.scan:

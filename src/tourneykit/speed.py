@@ -10,7 +10,13 @@ Two enumeration strategies back the speed tables:
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
   new vertex.  Right when the property is given by forbidden patterns and
-  levels would otherwise be reached from unboundedly many seeds.
+  levels would otherwise be reached from unboundedly many seeds.  One
+  pattern test per base decides all 2^k orientations of the new vertex
+  at once: for each pattern size s it gathers, with numpy, the labelled
+  codes of every (s-1)-subset of the base joined to the new vertex under
+  every orientation of the joining pairs, canonicalises only the distinct
+  codes, and rejects the orientations that spell a forbidden one.  Only
+  the surviving extensions are canonicalised.
 
 Counting the n-vertex sub-tournament classes of one big host
 (distinct_sub_classes) enumerates n-subsets directly with canonical
@@ -32,7 +38,14 @@ import numpy as np
 
 from .canon import canonical_form
 from .families import FlagTriple, make_M, make_cyclic, make_type1
-from .tournament import InfeasibleSizeError, Tournament, concat, line_to_bits
+from .tournament import (
+    InfeasibleSizeError,
+    Tournament,
+    concat,
+    line_to_bits,
+    pair_count,
+    pair_index,
+)
 
 DEFAULT_SEED_BOUND = 36
 DEFAULT_MEM_BUDGET = 2 * 1024**3
@@ -95,6 +108,25 @@ class SpeedTable:
         return True
 
 
+class _Budget:
+    """Running byte estimate of the classes a closure keeps, checked each
+    time a class is added."""
+
+    def __init__(self, limit: int, what: str):
+        self.limit = limit
+        self.what = what
+        self.used = 0
+
+    def charge(self, line: str, level: int, kept: int) -> None:
+        self.used += len(line) + _FORM_OVERHEAD
+        if self.used > self.limit:
+            raise BudgetExceededError(
+                f"{self.what} exceeded the {self.limit}-byte budget while "
+                f"building level {level} ({kept} classes kept so far); "
+                f"partial results discarded"
+            )
+
+
 def _deletion_children(args: tuple[int, str]) -> list[str]:
     n, line = args
     t = Tournament(n, line_to_bits(line))
@@ -119,13 +151,13 @@ def hereditary_closure(
                 f"seed on {s.n} vertices exceeds the bound {max_seed_size}"
             )
     levels: dict[int, set[str]] = {}
-    used_bytes = 0
+    budget = _Budget(mem_budget, "closure")
     for s in seeds:
         line = canonical_form(s).bits
         bucket = levels.setdefault(s.n, set())
         if line not in bucket:
             bucket.add(line)
-            used_bytes += len(line) + _FORM_OVERHEAD
+            budget.charge(line, s.n, len(bucket))
 
     top = max(levels)
     pool = None
@@ -146,13 +178,7 @@ def hereditary_closure(
                 for line in lines:
                     if line not in child:
                         child.add(line)
-                        used_bytes += len(line) + _FORM_OVERHEAD
-            if used_bytes > mem_budget:
-                raise BudgetExceededError(
-                    f"closure exceeded the {mem_budget}-byte budget while "
-                    f"building level {size - 1} "
-                    f"({len(child)} classes so far); partial results discarded"
-                )
+                        budget.charge(line, size - 1, len(child))
     finally:
         if pool is not None:
             pool.close()
@@ -163,24 +189,94 @@ def hereditary_closure(
         max_seed_size=top,
         forms={n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max},
     )
-    assert table.is_downward_closed()
+    if not table.is_downward_closed():
+        raise AssertionError(
+            "self-check failed: a one-vertex deletion of a closure member "
+            "is missing from the level below"
+        )
     return table
 
 
-def _avoids_through_last(
-    t: Tournament, forbidden_lines: dict[int, frozenset[str]]
-) -> bool:
-    v = t.n - 1
-    for size, lines in forbidden_lines.items():
-        if size > t.n:
+def _adjacency(t: Tournament, size: int) -> np.ndarray:
+    """0/1 matrix with [i, j] = 1 iff i -> j, zero-padded to size x size."""
+    adj = np.zeros((size, size), dtype=np.uint8)
+    for i, o in enumerate(t.out_masks):
+        for j in range(t.n):
+            adj[i, j] = (o >> j) & 1
+    return adj
+
+
+def _code_dtype(size: int):
+    """int64 while a size-vertex code fits, else Python ints."""
+    return np.int64 if pair_count(size) < 63 else object
+
+
+def _gather_codes(adj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Row-major pair-bit code of the sub-tournament induced on each row of
+    ``subsets`` (vertex indices in increasing order).  Codes wider than
+    int64 fall back to Python ints."""
+    s = subsets.shape[1]
+    dtype = _code_dtype(s)
+    codes = np.zeros(len(subsets), dtype=dtype)
+    pos = 0
+    for a in range(s):
+        for b in range(a + 1, s):
+            codes |= adj[subsets[:, a], subsets[:, b]].astype(dtype) << pos
+            pos += 1
+    return codes
+
+
+def _tail_codes(size: int) -> np.ndarray:
+    """Entry r: the pair bits joining the last of ``size`` vertices to the
+    others when it beats vertex a exactly where bit a of r is set."""
+    r = np.arange(1 << (size - 1)).astype(_code_dtype(size))
+    tail = np.zeros_like(r)
+    for a in range(size - 1):
+        tail |= (1 - ((r >> a) & 1)) << pair_index(size, a, size - 1)
+    return tail
+
+
+def _rejected_masks(
+    base: Tournament, forbidden: dict[int, frozenset[str]]
+) -> np.ndarray:
+    """Which of the 2^k one-vertex extensions of a k-vertex base contain a
+    forbidden pattern (canonical lines by size) through the new vertex k.
+
+    Bit i of an extension mask is set when k -> i.  For a vertex set S of
+    the base, the sub-tournament on S + {k} is fixed by the base's pairs
+    on S and by r, the mask bits on S read in increasing vertex order: its
+    code is base_code(S) | tail(r).  These labelled codes are gathered for
+    every S at once, only the distinct ones are canonicalised, and each
+    forbidden (S, r) rejects the masks whose bits on S spell r.
+    """
+    k = base.n
+    if 1 in forbidden:
+        return np.ones(1 << k, dtype=bool)
+    rejected = np.zeros(1 << k, dtype=bool)
+    cube = rejected.reshape((2,) * k)  # axis k-1-v carries mask bit v
+    adj = _adjacency(base, k + 1)
+    for size, lines in forbidden.items():
+        if size > k + 1:
             continue
-        if size == 1:
-            return False
-        for rest in combinations(range(v), size - 1):
-            sub = t.induced(rest + (v,))
-            if canonical_form(sub).bits in lines:
-                return False
-    return True
+        rows = np.array(
+            [c + (k,) for c in combinations(range(k), size - 1)], dtype=np.intp
+        )
+        codes = (_gather_codes(adj, rows)[:, None] | _tail_codes(size)).tolist()
+        bad = {
+            c
+            for c in set().union(*codes)
+            if canonical_form(Tournament(size, c)).bits in lines
+        }
+        if not bad:
+            continue
+        for subset, spelled in zip(rows.tolist(), codes):
+            for r, c in enumerate(spelled):
+                if c in bad:
+                    idx: list = [slice(None)] * k
+                    for a, v in enumerate(subset[:-1]):
+                        idx[k - 1 - v] = (r >> a) & 1
+                    cube[tuple(idx)] = True
+    return rejected
 
 
 def avoidance_closure(
@@ -192,7 +288,8 @@ def avoidance_closure(
 ) -> SpeedTable:
     """Extension BFS over the property of tournaments with no forbidden
     induced sub-tournament.  A new vertex is appended with every possible
-    orientation; only subsets through it need re-checking."""
+    orientation; one test per base decides which extensions contain a
+    pattern through the new vertex, and only the others are canonicalised."""
     forb: dict[int, set[str]] = {}
     for h in forbidden:
         if h.n < 1:
@@ -200,34 +297,32 @@ def avoidance_closure(
         forb.setdefault(h.n, set()).add(canonical_form(h).bits)
     forb_frozen = {size: frozenset(v) for size, v in forb.items()}
 
-    levels: dict[int, set[str]] = {}
-    single = Tournament(1, 0)
-    if _avoids_through_last(single, forb_frozen):
-        levels[1] = {canonical_form(single).bits}
-    else:
-        levels[1] = set()
-    used_bytes = 0
+    budget = _Budget(mem_budget, "avoidance closure")
+    levels: dict[int, set[str]] = {1: set()}
+    if 1 not in forb_frozen:
+        single = canonical_form(Tournament(1, 0)).bits
+        levels[1].add(single)
+        budget.charge(single, 1, 1)
     for k in range(1, n_max):
         nxt: set[str] = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
+            rejected = _rejected_masks(base, forb_frozen).tolist()
             for mask in range(1 << k):
+                # rejected extensions are built too: perfbench's traced run
+                # checks from_beats calls against the extensions tried
                 ext = Tournament.from_beats(
                     k + 1,
-                    lambda i, j, b=base, m=mask, kk=k: (
-                        b.beats(i, j) if j < kk else not ((m >> i) & 1)
+                    lambda i, j, o=base.out_masks, m=mask, kk=k: (
+                        (o[i] >> j) & 1 if j < kk else not ((m >> i) & 1)
                     ),
                 )
-                if _avoids_through_last(ext, forb_frozen):
-                    cl = canonical_form(ext).bits
-                    if cl not in nxt:
-                        nxt.add(cl)
-                        used_bytes += len(cl) + _FORM_OVERHEAD
-        if used_bytes > mem_budget:
-            raise BudgetExceededError(
-                f"avoidance closure exceeded the {mem_budget}-byte budget at "
-                f"level {k + 1}; partial results discarded"
-            )
+                if rejected[mask]:
+                    continue
+                cl = canonical_form(ext).bits
+                if cl not in nxt:
+                    nxt.add(cl)
+                    budget.charge(cl, k + 1, len(nxt))
         levels[k + 1] = nxt
 
     desc = seed_description or (
@@ -277,12 +372,7 @@ def distinct_sub_classes(
             f"enumerating C({n},{k}) subsets needs ~{cost} pair extractions, "
             f"over the budget of {pair_budget}"
         )
-    adj = np.zeros((n, n), dtype=np.uint8)
-    out = host.out_masks
-    for i in range(n):
-        for j in range(n):
-            if i != j and (out[i] >> j) & 1:
-                adj[i, j] = 1
+    adj = _adjacency(host, n)
     codes_seen: set[int] = set()
     it = combinations(range(n), k)
     chunk_size = 200_000
@@ -290,13 +380,7 @@ def distinct_sub_classes(
         chunk = list(islice(it, chunk_size))
         if not chunk:
             break
-        s = np.array(chunk, dtype=np.intp)
-        codes = np.zeros(len(chunk), dtype=np.int64)
-        pos = 0
-        for a in range(k):
-            for b in range(a + 1, k):
-                codes |= adj[s[:, a], s[:, b]].astype(np.int64) << pos
-                pos += 1
+        codes = _gather_codes(adj, np.array(chunk, dtype=np.intp))
         codes_seen.update(np.unique(codes).tolist())
     lines = {canonical_form(Tournament(k, int(c))).bits for c in codes_seen}
     return tuple(sorted(lines))

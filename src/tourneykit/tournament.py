@@ -89,6 +89,8 @@ class Tournament:
         if not lines:
             raise ValueError("empty .trn input")
         n = int(lines[0].strip())
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
         body = lines[1].strip() if len(lines) > 1 else ""
         m = pair_count(n)
         if len(body) != m:

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here avoids the library's canonical-form machinery on purpose:
-permutation action, exhaustive subset scans, and bipartition checks give
-second opinions for the fast implementations.
+Everything here except ``avoids_through_last`` avoids the library's
+canonical-form machinery on purpose: permutation action, exhaustive subset
+scans, and bipartition checks give second opinions for the fast
+implementations.  ``avoids_through_last`` is the direct per-extension
+pattern test (one induced sub-tournament and one canonical form per
+subset), the reference for the extension BFS's per-base test.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from tourneykit import Tournament, pair_count, pair_index
+from tourneykit import Tournament, canonical_form, pair_count, pair_index
 
 
 def perm_images(n: int, code: int) -> set[int]:
@@ -132,3 +135,27 @@ def brute_type2(t: Tournament, k: int) -> bool:
 def all_labelled(n: int):
     for code in range(1 << pair_count(n)):
         yield Tournament(n, code)
+
+
+def avoids_through_last(t: Tournament, forbidden: dict[int, frozenset[str]]) -> bool:
+    """No forbidden pattern (canonical lines by size) on a vertex set that
+    contains the last vertex of t."""
+    v = t.n - 1
+    for size, lines in forbidden.items():
+        if size > t.n:
+            continue
+        if size == 1:
+            return False
+        for rest in combinations(range(v), size - 1):
+            if canonical_form(t.induced(rest + (v,))).bits in lines:
+                return False
+    return True
+
+
+def extension(base: Tournament, mask: int) -> Tournament:
+    """base plus a new last vertex that beats vertex i exactly when bit i
+    of mask is set."""
+    k = base.n
+    return Tournament.from_beats(
+        k + 1, lambda i, j: base.beats(i, j) if j < k else not (mask >> i) & 1
+    )

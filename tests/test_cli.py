@@ -157,3 +157,37 @@ def test_edge_list_input(tmp_path, capsys):
     code, out, _ = _run(capsys, ["canon", str(path)])
     assert code == 0
     assert out.strip() == canonical_form(make_T((3,))).bits
+
+
+def test_subcount_without_host_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["subcount", "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--flags or --cyclic" in err
+
+
+def test_subcount_flags_without_m_or_scan_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["subcount", "--flags", "1,1,1", "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert "--m or --scan" in err
+
+
+def test_negative_vertex_count_in_trn(tmp_path, capsys):
+    path = tmp_path / "neg.trn"
+    path.write_text("-3\n000000\n")
+    code, _, err = _run(capsys, ["canon", str(path)])
+    assert code == 2
+    assert "vertex count must be non-negative" in err
+
+
+def test_gen_random_size_cap(tmp_path, capsys):
+    from tourneykit.cli import RANDOM_MAX_N
+
+    path = tmp_path / "r.trn"
+    code, _, err = _run(
+        capsys, ["gen", "random", str(RANDOM_MAX_N + 1), "-o", str(path)]
+    )
+    assert code == 3
+    assert "infeasible" in err and str(RANDOM_MAX_N) in err
+    assert not path.exists()

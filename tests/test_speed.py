@@ -1,7 +1,12 @@
 """Closure enumeration, sub-tournament counting, and the counting checks."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from math import ceil, comb
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,7 @@ from tourneykit import (
     hereditary_closure,
     make_T,
     make_cyclic,
+    random_tournament,
     type1_tn_classes,
 )
 from tourneykit.verify import composition_seqs, t_family_table
@@ -28,6 +34,13 @@ from tourneykit.verify import composition_seqs, t_family_table
 
 def transitive(n):
     return make_T((1,) * n)
+
+
+def _budget_stop(exc):
+    """(level, classes kept) named by a budget error."""
+    m = re.search(r"level (\d+) \((\d+) classes kept so far\)", str(exc))
+    assert m, str(exc)
+    return int(m.group(1)), int(m.group(2))
 
 
 class TestFstar:
@@ -80,6 +93,35 @@ class TestHereditaryClosure:
         with pytest.raises(BudgetExceededError):
             hereditary_closure([make_cyclic(12)], 6, mem_budget=512)
 
+    def test_memory_budget_stops_part_way_through_a_level(self):
+        seed = random_tournament(9, 5)
+        full = hereditary_closure([seed], 9)
+        with pytest.raises(BudgetExceededError) as exc:
+            hereditary_closure([seed], 9, mem_budget=400)
+        level, kept = _budget_stop(exc.value)
+        assert 0 < kept < full.count(level)
+
+    def test_self_check_survives_optimize(self):
+        code = (
+            "from tourneykit import make_cyclic\n"
+            "from tourneykit.speed import SpeedTable, hereditary_closure\n"
+            "assert False, 'asserts are stripped under -O'\n"
+            "SpeedTable.is_downward_closed = lambda self: False\n"
+            "try:\n"
+            "    hereditary_closure([make_cyclic(5)], 5)\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONOPTIMIZE", None)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: self-check failed")
+
     def test_json_shape(self):
         table = hereditary_closure([transitive(4)], 4, seed_description="t4")
         data = json.loads(table.to_json(include_forms=True))
@@ -110,6 +152,13 @@ class TestAvoidanceClosure:
     def test_avoidance_table_downward_closed(self):
         table = avoidance_closure([make_cyclic(4)], 6)
         assert table.is_downward_closed()
+
+    def test_memory_budget_stops_part_way_through_a_level(self):
+        with pytest.raises(BudgetExceededError) as exc:
+            avoidance_closure([], 6, mem_budget=2000)
+        level, kept = _budget_stop(exc.value)
+        assert level == 6
+        assert 0 < kept < 56
 
 
 class TestSubCounting:
