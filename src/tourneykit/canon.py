@@ -10,10 +10,30 @@ vertex at a time while maintaining an ordered partition of the remaining
 vertices.  Placing vertex v fixes the next row of the string: within each
 cell the still-free ordering puts v's in-neighbours (bit 0) before its
 out-neighbours (bit 1), which both minimises the row and commits a cell
-split.  Rows occupy earlier string positions than anything decided later,
-so keeping only the branches that realise the minimal row at each depth
-is exact; surviving branches with identical partitions are merged, which
-collapses automorphic subtrees.
+split.  Only the first cell's vertices that realise the minimal row are
+children of a node, so every leaf whose line is lex-min is in the tree.
+
+The tree is walked depth first with an explicit stack of branch points
+(no recursion), pruned in two exact ways:
+
+* prefix pruning: a node whose rows exceed the best leaf's rows at some
+  depth is cut, since rows occupy earlier string positions than anything
+  decided below it;
+* orbit pruning: a leaf equal to the best leaf gives the automorphism
+  gamma = leaf o best^-1, which fixes the common prefix pointwise and maps
+  the best leaf's subtree onto the current one, so the current child is
+  abandoned; a child in the orbit of an explored sibling under the
+  automorphisms found so far that fix the node's prefix is skipped.
+
+At a branch point the tied children advance together, level by level,
+keeping only those with the smallest row, until one is left, one of them
+branches in turn, or they reach leaves; only then are they explored one
+after another.  On rigid inputs the lockstep settles most ties without a
+dive that loses to a sibling; children that reach leaves together have
+equal lines, so they differ by automorphisms.  The same walk counts the
+leaves that attain the canonical line, which are exactly the
+automorphisms: each skipped or abandoned child counts as its explored
+orbit mate, and the counts restart whenever a better leaf is found.
 """
 
 from __future__ import annotations
@@ -53,107 +73,286 @@ def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
 
 @lru_cache(maxsize=1 << 17)
 def _canon_line(n: int, bits: int) -> str:
-    out = Tournament(n, bits).out_masks
-    if n <= 1:
-        return ""
-    full = (1 << n) - 1
-    states: set[tuple[int, ...]] = {(full,)}
-    pieces: list[str] = []
-    for depth in range(n - 1):
-        width = n - 1 - depth
-        best: int | None = None
-        nxt: set[tuple[int, ...]] = set()
-        for part in states:
-            first = part[0]
-            rest = part[1:]
-            m = first
-            while m:
-                vbit = m & -m
-                m ^= vbit
-                ov = out[vbit.bit_length() - 1]
-                row = 0
-                cells: list[int] = []
-                c0 = first ^ vbit
-                scan = (c0, *rest) if c0 else rest
-                for cell in scan:
-                    op = cell & ov
-                    ip = cell ^ op
-                    row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
-                    if ip:
-                        cells.append(ip)
-                    if op:
-                        cells.append(op)
-                if best is None or row < best:
-                    best = row
-                    nxt = {tuple(cells)}
-                elif row == best:
-                    nxt.add(tuple(cells))
-        states = nxt
-        pieces.append(format(best, f"0{width}b"))
-    return "".join(pieces)
-
-
-def _equitable_colors(n: int, out: tuple[int, ...]) -> list[int]:
-    """Iterated (colour, multiset of out-neighbour colours) refinement."""
-    colors = [out[v].bit_count() for v in range(n)]
-    while True:
-        sigs = []
-        for v in range(n):
-            m = out[v]
-            neigh = []
-            while m:
-                b = m & -m
-                m ^= b
-                neigh.append(colors[b.bit_length() - 1])
-            neigh.sort()
-            sigs.append((colors[v], tuple(neigh)))
-        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
+    return _search(n, bits)[0]
 
 
 def automorphism_order(t: Tournament, bound: int = 16) -> int:
     """Number of vertex permutations fixing the tournament.
 
-    Candidate images are restricted to the equitable colour class of each
-    vertex; edge consistency with already-placed vertices prunes the rest.
+    Counted by the canonical search as the leaves attaining the canonical
+    line.  Raises InfeasibleSizeError above ``bound`` vertices.
     """
-    n = t.n
-    if n > bound:
+    if t.n > bound:
         raise InfeasibleSizeError(
-            f"automorphism search limited to n <= {bound} (got n={n})"
+            f"automorphism search limited to n <= {bound} (got n={t.n})"
         )
+    return _search(t.n, t.bits)[1]
+
+
+def _expand(
+    out: tuple[int, ...], cells: tuple[int, ...]
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Minimal next row over the first cell's vertices, and each vertex
+    attaining it with the refined partition of the vertices left."""
+    first = cells[0]
+    rest = cells[1:]
+    best = None
+    kids: list[tuple[int, tuple[int, ...]]] = []
+    m = first
+    while m:
+        vbit = m & -m
+        m ^= vbit
+        v = vbit.bit_length() - 1
+        ov = out[v]
+        # the first cell less v is split here rather than as a tuple
+        # (first ^ vbit, *rest), which would be built once per candidate
+        op = first & ov
+        ip = first ^ vbit ^ op
+        row = (1 << op.bit_count()) - 1
+        split = []
+        if ip:
+            split.append(ip)
+        if op:
+            split.append(op)
+        for cell in rest:
+            op = cell & ov
+            ip = cell ^ op
+            row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
+            if ip:
+                split.append(ip)
+            if op:
+                split.append(op)
+        if best is None or row < best:
+            best = row
+            kids = [(v, tuple(split))]
+        elif row == best:
+            kids.append((v, tuple(split)))
+    return best, kids
+
+
+def _find(uf: list[int], x: int) -> int:
+    while uf[x] != x:
+        uf[x] = uf[uf[x]]
+        x = uf[x]
+    return x
+
+
+class _Branch:
+    """A search node whose tied children are explored one after another.
+
+    A kid is (vertex, the vertices it places, its tied children); all kids
+    share the rows ``shared`` below the node and then the row ``row``.
+    ``total`` counts the leaves attaining the best line under finished
+    kids and ``current`` those under the kid being explored; ``done``
+    maps each finished kid to its count.  ``orbits`` is a union-find over
+    vertices, joining kids that automorphisms fixing the node's prefix map
+    onto each other.
+    """
+
+    __slots__ = (
+        "depth", "kids", "taken", "total", "current", "done", "orbits", "shared", "row",
+    )
+
+    def __init__(self, depth: int, kids: list, shared: list[int], row: int):
+        self.depth = depth
+        self.kids = kids
+        self.taken = 1  # kids taken so far, the current one included
+        self.total = 0
+        self.current = 0
+        self.done: dict[int | None, int] = {}
+        self.orbits: list[int] | None = None
+        self.shared = shared
+        self.row = row
+
+    def merge(self, gamma: dict[int, int]) -> None:
+        """Join each kid's orbit with that of its image under gamma."""
+        if self.orbits is None:
+            self.orbits = list(range(len(gamma)))
+        uf = self.orbits
+        for kid in self.kids:
+            a, b = _find(uf, kid[0]), _find(uf, gamma[kid[0]])
+            if a != b:
+                uf[max(a, b)] = min(a, b)
+
+
+def _line(n: int, rows: list[int]) -> str:
+    line = 0
+    for width, row in zip(range(n - 1, 0, -1), rows):
+        line = (line << width) | row
+    return format(line, f"0{n * (n - 1) // 2}b")
+
+
+def _automorphism(src: list[int], dst: list[int]) -> tuple[dict[int, int], int]:
+    """dst o src^-1 for two leaves with one line, and the mask of its fixed
+    points; it fixes the prefix the leaves share."""
+    gamma = dict(zip(src, dst))
+    fixed = 0
+    for x, y in gamma.items():
+        if x == y:
+            fixed |= 1 << x
+    return gamma, fixed
+
+
+def _lockstep(
+    out: tuple[int, ...],
+    tied: list[tuple[int, tuple[int, ...]]],
+    depth: int,
+    last: int,
+    best_rows: list[int],
+    better: bool,
+) -> tuple[list, list[int], int, int, bool]:
+    """Advance the tied children of a node at ``depth`` together.
+
+    Lanes are (vertices placed, tied children of the lane's node).  Each
+    level keeps the lanes with the smallest row; the walk stops when one
+    lane is left, a lane branches, or the lanes reach the final row.
+    Returns the lanes, the rows they share below the node, their next row,
+    its depth, and whether the rows now beat the best leaf's.  No lanes
+    means the rows exceed the best leaf's.
+    """
+    shared: list[int] = []
+    lanes: list = [((), [kid]) for kid in tied]
+    e = depth
+    while True:
+        low = None
+        nxt = []
+        for seg, t in lanes:
+            v, cells = t[0]
+            r, t = _expand(out, cells)
+            if low is None or r < low:
+                low = r
+                nxt = [(seg + (v,), t)]
+            elif r == low:
+                nxt.append((seg + (v,), t))
+        lanes = nxt
+        e += 1
+        if not better and low != best_rows[e]:
+            better = low < best_rows[e]
+            if not better:
+                return [], shared, low, e, better
+        if len(lanes) == 1 or e == last:
+            return lanes, shared, low, e, better
+        for _, t in lanes:
+            if len(t) > 1:
+                return lanes, shared, low, e, better
+        shared.append(low)
+
+
+def _search(n: int, bits: int) -> tuple[str, int]:
+    """Lex-min line and automorphism count of the tournament (n, bits)."""
     if n <= 1:
-        return 1
-    out = t.out_masks
-    colors = _equitable_colors(n, out)
-    candidates = [
-        [w for w in range(n) if colors[w] == colors[v]] for v in range(n)
-    ]
-    img = [0] * n
-    count = 0
-
-    def place(v: int, used: int) -> None:
-        nonlocal count
-        if v == n:
-            count += 1
-            return
-        for w in candidates[v]:
-            if (used >> w) & 1:
+        return "", 1
+    out = Tournament(n, bits).out_masks
+    last = n - 2  # depth of the final row; one vertex is left after it
+    path: list[int] = []  # vertices placed so far
+    rows: list[int] = []  # their rows
+    best_rows: list[int] = []
+    best_path: list[int] = []
+    autos: list[tuple[dict[int, int], int]] = []  # (gamma, its fixed points)
+    # the bottom branch stands above the root and ends up holding |Aut|
+    stack = [_Branch(-1, [(None, (), [])], [], 0)]
+    better = True  # the path's rows beat the best leaf's (none yet)
+    row, tied = _expand(out, ((1 << n) - 1,))
+    while True:
+        d = len(path)
+        if not better and row != best_rows[d]:
+            better = row < best_rows[d]
+            if not better:
+                tied = []  # cut: rows exceed the best leaf's
+        leaves = None
+        if len(tied) == 1:
+            rows.append(row)
+            v, cells = tied[0]
+            path.append(v)
+            if d < last:
+                row, tied = _expand(out, cells)
                 continue
-            ok = True
-            for u in range(v):
-                if ((out[u] >> v) & 1) != ((out[img[u]] >> w) & 1):
-                    ok = False
+            leaves = [path + [cells[0].bit_length() - 1]]
+        elif tied:
+            rows.append(row)
+            lanes, shared, row, e, better = _lockstep(
+                out, tied, d, last, best_rows, better
+            )
+            rows += shared
+            if len(lanes) == 1:
+                seg, tied = lanes[0]
+                path += seg
+                continue
+            if lanes and e < last:
+                branch = _Branch(d, [(seg[0], seg, t) for seg, t in lanes], shared, row)
+                if autos:
+                    prefix = 0
+                    for p in path:
+                        prefix |= 1 << p
+                    for gamma, fixed in autos:
+                        if fixed & prefix == prefix:
+                            branch.merge(gamma)
+                stack.append(branch)
+                seg, tied = lanes[0]
+                path += seg
+                continue
+            if lanes:  # the lanes end in leaves with one line
+                rows.append(row)
+                leaves = [
+                    [*path, *seg, t[0][0], t[0][1][0].bit_length() - 1]
+                    for seg, t in lanes
+                ]
+        if leaves is not None:
+            if len(stack) == 1:  # no branch point above: the only leaves
+                return _line(n, rows), len(leaves)
+            if better:
+                better = False
+                best_rows, best_path = rows[:], leaves[0]
+                for b in stack:
+                    b.total = b.current = 0
+                    b.done = dict.fromkeys(b.done, 0)
+                stack[-1].current = len(leaves)
+                found = [_automorphism(best_path, leaf) for leaf in leaves[1:]]
+            else:
+                found = [_automorphism(best_path, leaves[0])]
+                # It maps the best leaf's kid at the branch point where the
+                # two paths part onto the current kid: abandon that kid,
+                # counting it as its image.
+                div = 0
+                while leaves[0][div] == best_path[div]:
+                    div += 1
+                while stack[-1].depth > div:
+                    stack.pop()
+                stack[-1].current = stack[-1].done[best_path[div]]
+            autos += found
+            for gamma, _ in found:
+                for b in stack[1:]:
+                    b.merge(gamma)
+        # The deepest branch's current kid is finished: move on to its next
+        # kid outside the orbits of the finished ones, popping spent branches.
+        while True:
+            b = stack[-1]
+            b.total += b.current
+            b.done[b.kids[b.taken - 1][0]] = b.current
+            b.current = 0
+            kid = None
+            while b.taken < len(b.kids):
+                kid = b.kids[b.taken]
+                b.taken += 1
+                uf = b.orbits
+                if uf is None:
                     break
-            if ok:
-                img[v] = w
-                place(v + 1, used | (1 << w))
-
-    place(0, 0)
-    return count
+                r = _find(uf, kid[0])
+                mate = next((c for u, c in b.done.items() if _find(uf, u) == r), None)
+                if mate is None:
+                    break
+                b.total += mate
+                kid = None
+            if kid is not None:
+                break
+            stack.pop()
+            if not stack:
+                return _line(n, best_rows), b.total
+            stack[-1].current += b.total
+        path[b.depth :] = kid[1]
+        rows[b.depth + 1 :] = b.shared
+        row, tied = b.row, kid[2]
+        better = False
 
 
 def contains_induced(t: Tournament, h: Tournament) -> "StructureWitness | None":

@@ -106,14 +106,18 @@ class Tournament:
             n = self.n
             out = [0] * n
             bits = self.bits
-            k = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (bits >> k) & 1:
-                        out[i] |= 1 << j
-                    else:
-                        out[j] |= 1 << i
-                    k += 1
+            for i in range(n - 1):
+                # row i holds the pairs (i, i+1), ..., (i, n-1), lowest first
+                width = n - 1 - i
+                full = (1 << width) - 1
+                row = bits & full
+                bits >>= width
+                out[i] |= row << (i + 1)
+                lost = row ^ full
+                while lost:
+                    low = lost & -lost
+                    lost ^= low
+                    out[i + low.bit_length()] |= 1 << i
             self._out = tuple(out)
         return self._out
 

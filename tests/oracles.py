@@ -6,6 +6,9 @@ scans, and bipartition checks give second opinions for the fast
 implementations.  ``avoids_through_last`` is the direct per-extension
 pattern test (one induced sub-tournament and one canonical form per
 subset), the reference for the extension BFS's per-base test.
+``beam_canon_line`` is the breadth-first canonical search that keeps every
+branch attaining the minimal row, the reference for the pruned depth-first
+search; ``pair_out_masks`` is the per-pair decode of the pair bits.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ from itertools import combinations, permutations
 from tourneykit import Tournament, canonical_form, pair_count, pair_index
 
 
-def perm_images(n: int, code: int) -> set[int]:
-    """All labelled codes obtainable by relabelling."""
-    images = set()
+def _relabelled_codes(n: int, code: int):
+    """The labelled code under each of the n! relabellings, in turn."""
     for p in permutations(range(n)):
         t = 0
         k = 0
@@ -30,8 +32,39 @@ def perm_images(n: int, code: int) -> set[int]:
                     bit ^= 1
                 t |= bit << pair_index(n, a, b)
                 k += 1
-        images.add(t)
-    return images
+        yield t
+
+
+def perm_images(n: int, code: int) -> set[int]:
+    """All labelled codes obtainable by relabelling."""
+    return set(_relabelled_codes(n, code))
+
+
+def brute_automorphism_order(n: int, code: int) -> int:
+    """Number of permutations that map the labelled code to itself."""
+    return sum(img == code for img in _relabelled_codes(n, code))
+
+
+def backtrack_automorphism_order(t: Tournament) -> int:
+    """Number of automorphisms, counted by extending partial vertex maps
+    that keep out-degrees and every orientation among mapped vertices."""
+    n = t.n
+    out = pair_out_masks(t)
+    img = [0] * n
+
+    def extend(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        count = 0
+        for w in range(n):
+            if (used >> w) & 1 or out[w].bit_count() != out[v].bit_count():
+                continue
+            if all(((out[u] >> v) & 1) == ((out[img[u]] >> w) & 1) for u in range(v)):
+                img[v] = w
+                count += extend(v + 1, used | (1 << w))
+        return count
+
+    return extend(0, 0)
 
 
 def labelled_orbit_class_count(n: int) -> int:
@@ -159,3 +192,65 @@ def extension(base: Tournament, mask: int) -> Tournament:
     return Tournament.from_beats(
         k + 1, lambda i, j: base.beats(i, j) if j < k else not (mask >> i) & 1
     )
+
+
+def pair_out_masks(t: Tournament) -> tuple[int, ...]:
+    """Out-neighbour masks decoded one pair bit at a time."""
+    out = [0] * t.n
+    k = 0
+    for i in range(t.n):
+        for j in range(i + 1, t.n):
+            if (t.bits >> k) & 1:
+                out[i] |= 1 << j
+            else:
+                out[j] |= 1 << i
+            k += 1
+    return tuple(out)
+
+
+def beam_canon_line(t: Tournament) -> str:
+    """Lex-min line by a breadth-first search over ordered partitions.
+
+    Each depth keeps every partition whose placed vertex realises the
+    minimal next row, merging identical partitions only, so its width
+    grows with the automorphism group (3^k on make_T((3,) * k)).
+    """
+    n = t.n
+    out = pair_out_masks(t)
+    if n <= 1:
+        return ""
+    full = (1 << n) - 1
+    states: set[tuple[int, ...]] = {(full,)}
+    pieces: list[str] = []
+    for depth in range(n - 1):
+        width = n - 1 - depth
+        best: int | None = None
+        nxt: set[tuple[int, ...]] = set()
+        for part in states:
+            first = part[0]
+            rest = part[1:]
+            m = first
+            while m:
+                vbit = m & -m
+                m ^= vbit
+                ov = out[vbit.bit_length() - 1]
+                row = 0
+                cells: list[int] = []
+                c0 = first ^ vbit
+                scan = (c0, *rest) if c0 else rest
+                for cell in scan:
+                    op = cell & ov
+                    ip = cell ^ op
+                    row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
+                    if ip:
+                        cells.append(ip)
+                    if op:
+                        cells.append(op)
+                if best is None or row < best:
+                    best = row
+                    nxt = {tuple(cells)}
+                elif row == best:
+                    nxt.add(tuple(cells))
+        states = nxt
+        pieces.append(format(best, f"0{width}b"))
+    return "".join(pieces)

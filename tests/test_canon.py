@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    backtrack_automorphism_order,
+    beam_canon_line,
+    brute_automorphism_order,
     brute_contains_induced,
     brute_isomorphic,
     perm_images,
@@ -27,6 +31,18 @@ from tourneykit import (
     pair_count,
     random_tournament,
 )
+
+
+def paley(p):
+    """Quadratic-residue tournament on Z_p, p = 3 mod 4; p(p-1)/2 automorphisms."""
+    qr = {(x * x) % p for x in range(1, p)}
+    return Tournament.from_beats(p, lambda i, j: (j - i) % p in qr)
+
+
+def relabelled(t, seed):
+    perm = list(range(t.n))
+    random.Random(seed).shuffle(perm)
+    return t.relabel(perm)
 
 
 def tournaments(max_n=7):
@@ -95,6 +111,44 @@ class TestCanonicalForm:
         assert form.to_tournament().body_line() == form.bits
 
 
+class TestAgainstBeamSearch:
+    """The pruned depth-first search against the breadth-first reference."""
+
+    def test_every_code_up_to_six_vertices(self):
+        for n in range(7):
+            for code in range(1 << pair_count(n)):
+                t = Tournament(n, code)
+                assert canonical_form(t).bits == beam_canon_line(t), (n, code)
+
+    def test_random_codes_seven_to_ten_vertices(self):
+        # random inputs reach the branches where a later child loses to the
+        # best leaf part-way down, which small n rarely does
+        rng = random.Random(11)
+        for n in range(7, 11):
+            for _ in range(1000):
+                t = random_tournament(n, rng)
+                line, order = canonical_form(t).bits, automorphism_order(t)
+                assert line == beam_canon_line(t), t
+                assert order == backtrack_automorphism_order(t), t
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_T((3,) * 7),
+            lambda: paley(23),
+            lambda: make_moon_tower(3),
+            lambda: make_cyclic(16),
+            lambda: random_tournament(40, 0),
+        ],
+        ids=["T3x7", "paley23", "moon3", "cyclic16", "random40"],
+    )
+    def test_relabelled_hard_families(self, build):
+        t = build()
+        want = beam_canon_line(t)
+        for seed in range(3):
+            assert canonical_form(relabelled(t, seed)).bits == want
+
+
 class TestIsomorphism:
     def test_relabelled_copy(self):
         t = random_tournament(7, 5)
@@ -149,6 +203,41 @@ class TestAutomorphisms:
     def test_bound_enforced(self):
         with pytest.raises(InfeasibleSizeError):
             automorphism_order(make_moon_tower(3))
+
+    def test_every_code_up_to_five_vertices(self):
+        for n in range(6):
+            for code in range(1 << pair_count(n)):
+                got = automorphism_order(Tournament(n, code))
+                assert got == brute_automorphism_order(n, code), (n, code)
+
+    def test_stacked_triangles(self):
+        for k in range(1, 13):
+            t = relabelled(make_T((3,) * k), k)
+            assert automorphism_order(t, bound=t.n) == 3**k
+
+    @pytest.mark.parametrize("p", [7, 11, 19, 23, 31, 43])
+    def test_paley(self, p):
+        assert automorphism_order(relabelled(paley(p), p), bound=p) == p * (p - 1) // 2
+
+    def test_odd_cyclic(self):
+        for n in range(1, 22, 2):
+            t = relabelled(make_cyclic(n), n)
+            assert automorphism_order(t, bound=n) == n
+
+    def test_moon_tower_level_three(self):
+        assert automorphism_order(make_moon_tower(3), bound=27) == 3**13
+
+    def test_deep_search_does_not_recurse(self):
+        # n = 60 with 3^20 automorphisms: the unpruned tree has 3^20 leaves
+        t = make_T((3,) * 20)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            a, b = relabelled(t, 1), relabelled(t, 2)
+            assert canonical_form(a) == canonical_form(b)
+            assert automorphism_order(a, bound=60) == 3**20
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestContainment:

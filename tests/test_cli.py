@@ -1,10 +1,14 @@
 """Command-line surface: verbs, formats, exit codes, reproducibility."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tourneykit import Tournament, canonical_form, make_T, make_moon_tower
+from tourneykit import Tournament, canonical_form, make_T, make_moon_tower, pair_count
 from tourneykit.cli import run
 
 
@@ -191,3 +195,72 @@ def test_gen_random_size_cap(tmp_path, capsys):
     assert code == 3
     assert "infeasible" in err and str(RANDOM_MAX_N) in err
     assert not path.exists()
+
+
+def _edge_list(t, drop, repeat):
+    lines = [
+        f"{u} {v}" if t.beats(u, v) else f"{v} {u}"
+        for u in range(t.n)
+        for v in range(u + 1, t.n)
+    ]
+    if lines and drop:
+        del lines[drop % len(lines)]
+    if lines and repeat:
+        lines.append(lines[repeat % len(lines)])
+    return "\n".join(lines)
+
+
+def _tournaments(max_n):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.builds(
+            Tournament, st.just(n), st.integers(0, (1 << pair_count(n)) - 1)
+        )
+    )
+
+
+_fuzz_inputs = st.one_of(
+    _tournaments(20).map(Tournament.to_trn),
+    # .trn-shaped: a header line, a pair-bit line, trailing lines
+    st.builds(
+        lambda head, body, tail: f"{head}\n{body}{tail}",
+        st.integers(-3, 12).map(str) | st.text("0123456789-+ x", max_size=4),
+        st.text("01", max_size=70) | st.text("012 \t", max_size=70),
+        st.sampled_from(["", "\n", "\n\n", "\n0 1\n"]),
+    ),
+    # edge lists: whole tournaments, some with a pair dropped or repeated
+    st.builds(
+        _edge_list,
+        _tournaments(8),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+    st.lists(
+        st.tuples(st.integers(-1, 7), st.integers(-1, 7)).map("{0[0]} {0[1]}".format)
+        | st.text("0123456789 -x", max_size=8),
+        max_size=30,
+    ).map("\n".join),
+    st.text(max_size=80).map(str.encode),
+    st.binary(max_size=80),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=_fuzz_inputs, verb=st.sampled_from(["canon", "aut"]))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_input_exits_with_a_status(fuzz_dir, data, verb):
+    # any input gives a result (0), a usage error (2) or an infeasible size
+    # (3) with a message, never a traceback
+    path = fuzz_dir / "input"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([verb, str(path)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().strip() and not out.getvalue()
+    else:
+        assert out.getvalue()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_cyclic_triangle, brute_strongly_connected
+from oracles import brute_has_cyclic_triangle, brute_strongly_connected, pair_out_masks
 from tourneykit import (
     Tournament,
     canonical_form,
@@ -41,6 +41,17 @@ class TestEncoding:
             for u in range(t.n):
                 for v in range(u + 1, t.n):
                     assert t.beats(u, v) != t.beats(v, u)
+
+    def test_out_masks_match_per_pair_decode(self):
+        for n in range(7):
+            for code in range(1 << pair_count(n)):
+                t = Tournament(n, code)
+                assert t.out_masks == pair_out_masks(t), (n, code)
+        rng = random.Random(5)
+        for n in range(7, 41):
+            for _ in range(5):
+                t = random_tournament(n, rng)
+                assert t.out_masks == pair_out_masks(t), (n, t)
 
     def test_out_degrees_sum(self):
         for n in range(9):
