@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .tournament import Tournament, line_to_bits
+from .tournament import Tournament
 
 if TYPE_CHECKING:  # pragma: no cover
     from .speed import SpeedTable
@@ -245,12 +245,9 @@ def estimate_k(
     meet vacuously.  This is a heuristic estimate from finite data, never
     a certificate.
     """
-    forms = table.forms.get(n)
-    if not forms:
+    if not table.count(n):
         raise ValueError(f"speed table has no members at level {n}")
-    seqs = [
-        decompose(form_to_tournament(line, n)).sequence for line in forms
-    ]
+    seqs = [decompose(t).sequence for t in table.members(n)]
     best = 0
     for ell in range(n):
         need = threshold(n, ell) if threshold else math.ceil(n / (ell + 2))
@@ -259,7 +256,3 @@ def estimate_k(
             break
         best = ell
     return best
-
-
-def form_to_tournament(line: str, n: int) -> Tournament:
-    return Tournament(n, line_to_bits(line))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .tournament import InfeasibleSizeError, Tournament, line_to_bits
+from .tournament import Tournament, line_to_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import StructureWitness
@@ -76,16 +76,12 @@ def _canon_line(n: int, bits: int) -> str:
     return _search(n, bits)[0]
 
 
-def automorphism_order(t: Tournament, bound: int = 16) -> int:
+def automorphism_order(t: Tournament) -> int:
     """Number of vertex permutations fixing the tournament.
 
     Counted by the canonical search as the leaves attaining the canonical
-    line.  Raises InfeasibleSizeError above ``bound`` vertices.
+    line.
     """
-    if t.n > bound:
-        raise InfeasibleSizeError(
-            f"automorphism search limited to n <= {bound} (got n={t.n})"
-        )
     return _search(t.n, t.bits)[1]
 
 

@@ -122,7 +122,7 @@ def _iso(args) -> int:
 
 
 def _aut(args) -> int:
-    order = automorphism_order(_load(args.file), bound=args.bound)
+    order = automorphism_order(_load(args.file))
     _emit({"automorphism_order": order}, args)
     return EXIT_OK
 
@@ -162,7 +162,6 @@ def _speed(args) -> int:
         table = hereditary_closure(
             [_load(p) for p in args.seeds],
             args.n_max,
-            workers=args.threads,
             mem_budget=args.mem_budget,
         )
     else:
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tourneykit",
         description="Tournament combinatorics workbench",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument(
         "--mem-budget", type=int, default=2 * 1024**3, help="closure budget, bytes"
     )
@@ -262,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("aut", parents=[shared], help="automorphism group order")
     a.add_argument("file")
-    a.add_argument("--bound", type=int, default=16)
     a.set_defaults(fn=_aut)
 
     b = sub.add_parser("blocks", parents=[shared], help="homogeneous block decomposition")

@@ -28,7 +28,6 @@ bottom level alone stays small.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb, ceil
@@ -62,7 +61,6 @@ class SpeedTable:
     """Canonical forms of the n-vertex members of a property, per level."""
 
     seed: str
-    max_seed_size: int
     forms: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def count(self, n: int) -> int:
@@ -127,17 +125,10 @@ class _Budget:
             )
 
 
-def _deletion_children(args: tuple[int, str]) -> list[str]:
-    n, line = args
-    t = Tournament(n, line_to_bits(line))
-    return [canonical_form(t.delete(v)).bits for v in range(n)]
-
-
 def hereditary_closure(
     seeds: Sequence[Tournament],
     n_max: int,
     *,
-    workers: int = 1,
     max_seed_size: int = DEFAULT_SEED_BOUND,
     mem_budget: int = DEFAULT_MEM_BUDGET,
     seed_description: str | None = None,
@@ -160,33 +151,21 @@ def hereditary_closure(
             budget.charge(line, s.n, len(bucket))
 
     top = max(levels)
-    pool = None
-    if workers > 1:
-        pool = multiprocessing.Pool(workers)
-    try:
-        for size in range(top, 1, -1):
-            cur = levels.get(size)
-            if not cur:
-                continue
-            work = [(size, line) for line in sorted(cur)]
-            if pool is not None:
-                batches = pool.map(_deletion_children, work, chunksize=16)
-            else:
-                batches = map(_deletion_children, work)
-            child = levels.setdefault(size - 1, set())
-            for lines in batches:
-                for line in lines:
-                    if line not in child:
-                        child.add(line)
-                        budget.charge(line, size - 1, len(child))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for size in range(top, 1, -1):
+        cur = levels.get(size)
+        if not cur:
+            continue
+        child = levels.setdefault(size - 1, set())
+        for line in sorted(cur):
+            t = Tournament(size, line_to_bits(line))
+            for v in range(size):
+                sub = canonical_form(t.delete(v)).bits
+                if sub not in child:
+                    child.add(sub)
+                    budget.charge(sub, size - 1, len(child))
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
-        max_seed_size=top,
         forms={n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max},
     )
     if not table.is_downward_closed():
@@ -330,7 +309,6 @@ def avoidance_closure(
     )
     return SpeedTable(
         seed=desc,
-        max_seed_size=0,
         forms={n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max},
     )
 
@@ -477,9 +455,7 @@ def check_olarge(n_max: int = 30) -> list[InequalityCase]:
     sides also dominate the recurrence step f(n+1) >= f(n) + f(n-2).
     """
     cases: list[InequalityCase] = []
-
-    def f1(n: int) -> int:
-        return 2 ** (n - 1) - 2 * comb(n - 1, 2) - n
+    f1 = count_tn_lower
 
     def f2(n: int) -> int:
         return 2 ** (n - 3) - 2

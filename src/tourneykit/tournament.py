@@ -80,10 +80,6 @@ class Tournament:
         return cls(n, bits)
 
     @classmethod
-    def from_out_masks(cls, n: int, masks: Sequence[int]) -> "Tournament":
-        return cls.from_beats(n, lambda i, j: bool((masks[i] >> j) & 1))
-
-    @classmethod
     def from_trn(cls, text: str) -> "Tournament":
         lines = text.splitlines()
         if not lines:

@@ -1,14 +1,14 @@
 """Executable verification suite: each case id replays one finite-scale
 counting or structure claim and reports observed vs. required values.
 
-Reports are deterministic; runtimes are kept out of the JSON payload so
-two runs of the same case produce byte-identical output.
+Reports are deterministic and carry no timings, so two runs of the same
+case produce byte-identical output.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-import time
 from dataclasses import dataclass, field
 from math import ceil, comb
 from typing import Callable, Iterator
@@ -52,7 +52,6 @@ class VerifyReport:
     lemma_id: str
     parameters: dict
     cases: list[Case] = field(default_factory=list)
-    runtime_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -91,12 +90,11 @@ def composition_seqs(total_max: int) -> Iterator[tuple[int, ...]]:
     yield from rec((), total_max)
 
 
-def t_family_table(sum_max: int, n_max: int, workers: int = 1) -> SpeedTable:
+def t_family_table(sum_max: int, n_max: int) -> SpeedTable:
     seeds = [make_T(seq) for seq in composition_seqs(sum_max)]
     return hereditary_closure(
         seeds,
         n_max,
-        workers=workers,
         seed_description=f"stacked 1/3 blocks, sums <= {sum_max}",
     )
 
@@ -114,9 +112,8 @@ def _dn_shape(n: int, s: frozenset[int]) -> bool:
     return False
 
 
-def verify_t_equals_fstar(n_max: int = 10, workers: int = 1) -> VerifyReport:
-    start = time.monotonic()
-    table = t_family_table(n_max + 3, n_max, workers)
+def verify_t_equals_fstar(n_max: int = 10) -> VerifyReport:
+    table = t_family_table(n_max + 3, n_max)
     cases = [
         Case(
             f"n={n}",
@@ -128,13 +125,10 @@ def verify_t_equals_fstar(n_max: int = 10, workers: int = 1) -> VerifyReport:
     ]
     cases.append(Case("fstar(4)", fstar(4), "== 3", fstar(4) == 3))
     cases.append(Case("fstar(5)", fstar(5), "== 4", fstar(5) == 4))
-    return VerifyReport(
-        "T-equals-Fstar", {"n_max": n_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("T-equals-Fstar", {"n_max": n_max}, cases)
 
 
 def verify_dn_bound(n_max: int = 8) -> VerifyReport:
-    start = time.monotonic()
     cases = []
     for n in range(1, n_max + 1):
         members = [
@@ -151,7 +145,7 @@ def verify_dn_bound(n_max: int = 8) -> VerifyReport:
         cases.append(
             Case(f"n={n} shapes", len(bad), "== 0 members off-shape", not bad)
         )
-    return VerifyReport("Dn-bound", {"n_max": n_max}, cases, time.monotonic() - start)
+    return VerifyReport("Dn-bound", {"n_max": n_max}, cases)
 
 
 def _subsets(n: int, r: int):
@@ -161,7 +155,6 @@ def _subsets(n: int, r: int):
 
 
 def verify_l111(n_max: int = 9, m_max: int = 12) -> VerifyReport:
-    start = time.monotonic()
     cases = []
     for n in range(1, n_max + 1):
         values, stable = count_sub_L_scan((1, 1, 1), n, m_max=m_max)
@@ -172,9 +165,7 @@ def verify_l111(n_max: int = 9, m_max: int = 12) -> VerifyReport:
         cases.append(
             Case(f"n={n} count", final, f"== fstar({n}) = {fstar(n)}", final == fstar(n))
         )
-    return VerifyReport(
-        "L111", {"n_max": n_max, "m_max": m_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("L111", {"n_max": n_max, "m_max": m_max}, cases)
 
 
 def _verify_flag_lower(
@@ -185,7 +176,6 @@ def _verify_flag_lower(
     n_max: int,
     m_max: int,
 ) -> VerifyReport:
-    start = time.monotonic()
     cases = []
     for flags in flag_triples:
         for n in range(1, n_max + 1):
@@ -212,7 +202,6 @@ def _verify_flag_lower(
         lemma_id,
         {"n_max": n_max, "m_max": m_max, "flags": [list(f) for f in flag_triples]},
         cases,
-        time.monotonic() - start,
     )
 
 
@@ -240,7 +229,6 @@ def verify_l_i1_zero(n_max: int = 6, m_max: int = 10) -> VerifyReport:
 
 
 def verify_cyclic_count(n_max: int = 8) -> VerifyReport:
-    start = time.monotonic()
     cases = []
     for n in range(1, n_max + 1):
         c = count_cyclic_subs(n)
@@ -248,13 +236,10 @@ def verify_cyclic_count(n_max: int = 8) -> VerifyReport:
         cases.append(Case(f"n={n}", c, f">= ceil(2^(n-1)/n) = {need}", c >= need))
     c3 = count_cyclic_subs(3)
     cases.append(Case("n=3 exact", c3, "== 2", c3 == 2))
-    return VerifyReport(
-        "cyclic-count", {"n_max": n_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("cyclic-count", {"n_max": n_max}, cases)
 
 
 def verify_olarge(n_max: int = 30) -> VerifyReport:
-    start = time.monotonic()
     cases = [
         Case(f"({c.label}) n={c.n}", c.lhs, f"vs fstar-side {c.rhs}", c.holds)
         for c in check_olarge(n_max)
@@ -269,7 +254,7 @@ def verify_olarge(n_max: int = 30) -> VerifyReport:
         cases.append(Case(name, lhs, f"== {rhs}", lhs == rhs))
     name, lhs, rhs = tight[3]
     cases.append(Case(name, lhs, f"< {rhs}", lhs < rhs))
-    return VerifyReport("olarge", {"n_max": n_max}, cases, time.monotonic() - start)
+    return VerifyReport("olarge", {"n_max": n_max}, cases)
 
 
 def cyclic_family_table(m_max: int = 12, n_max: int = 5) -> SpeedTable:
@@ -280,7 +265,6 @@ def cyclic_family_table(m_max: int = 12, n_max: int = 5) -> SpeedTable:
 
 
 def verify_osmall() -> VerifyReport:
-    start = time.monotonic()
     cases = []
     cyc = cyclic_family_table(12, 5)
     for n, need in ((1, 1), (2, 1), (3, 2)):
@@ -333,11 +317,10 @@ def verify_osmall() -> VerifyReport:
                 tab.count(5) >= 4,
             )
         )
-    return VerifyReport("osmall", {}, cases, time.monotonic() - start)
+    return VerifyReport("osmall", {}, cases)
 
 
-def verify_moon_aut(level_max: int = 2) -> VerifyReport:
-    start = time.monotonic()
+def verify_moon_aut(level_max: int = 3) -> VerifyReport:
     cases = []
     for level in range(1, level_max + 1):
         k = 3**level
@@ -346,13 +329,10 @@ def verify_moon_aut(level_max: int = 2) -> VerifyReport:
         cases.append(
             Case(f"level={level} (k={k})", got, f"== 3^((k-1)/2) = {want}", got == want)
         )
-    return VerifyReport(
-        "moon-aut", {"level_max": level_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("moon-aut", {"level_max": level_max}, cases)
 
 
 def verify_fekete(n_max: int = 9) -> VerifyReport:
-    start = time.monotonic()
     c4 = make_cyclic(4)
     table = avoidance_closure([c4], n_max, seed_description="avoid cyclic(4)")
     report = check_supermultiplicative(table, forbidden=[c4])
@@ -382,11 +362,10 @@ def verify_fekete(n_max: int = 9) -> VerifyReport:
                 table.count(n) == fstar(n),
             )
         )
-    return VerifyReport("fekete", {"n_max": n_max}, cases, time.monotonic() - start)
+    return VerifyReport("fekete", {"n_max": n_max}, cases)
 
 
 def verify_lemma3_bound(n_max: int = 10) -> VerifyReport:
-    start = time.monotonic()
     properties = [
         ("transitive", hereditary_closure(
             [make_T((1,) * 12)], n_max, seed_description="transitive(12)"
@@ -416,13 +395,10 @@ def verify_lemma3_bound(n_max: int = 10) -> VerifyReport:
                     table.count(n) <= bound,
                 )
             )
-    return VerifyReport(
-        "lemma3-bound", {"n_max": n_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("lemma3-bound", {"n_max": n_max}, cases)
 
 
 def verify_type1_count(n_max: int = 9) -> VerifyReport:
-    start = time.monotonic()
     cases = []
     for n in range(2, n_max + 1):
         got = type1_tn_classes(n)
@@ -430,9 +406,7 @@ def verify_type1_count(n_max: int = 9) -> VerifyReport:
         cases.append(
             Case(f"n={n}", got, f">= 2^(n-1) - 2*C(n-1,2) - n = {need}", got >= need)
         )
-    return VerifyReport(
-        "type1-count", {"n_max": n_max}, cases, time.monotonic() - start
-    )
+    return VerifyReport("type1-count", {"n_max": n_max}, cases)
 
 
 def theorem2_slope(k: int, n_lo: int = 6, n_hi: int = 12) -> tuple[float, SpeedTable]:
@@ -473,4 +447,14 @@ def run_lemma(lemma_id: str, **params) -> VerifyReport:
             f"unknown verification id {lemma_id!r}; choose from "
             + ", ".join(sorted(LEMMA_IDS))
         ) from None
+    accepted = list(inspect.signature(fn).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(
+            f"{lemma_id} does not take {', '.join(unknown)}; it accepts "
+            + (", ".join(accepted) if accepted else "no parameters")
+        )
+    for name, value in sorted(params.items()):
+        if value < 1:
+            raise ValueError(f"{lemma_id}: {name} must be at least 1, got {value}")
     return fn(**params)

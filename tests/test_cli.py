@@ -61,16 +61,15 @@ def test_iso_verb(tmp_path, capsys):
     assert json.loads(out) == {"isomorphic": True}
 
 
-def test_aut_verb_and_infeasible_exit(tmp_path, capsys):
+def test_aut_verb_on_moon_towers(tmp_path, capsys):
     small = tmp_path / "m2.trn"
     small.write_text(make_moon_tower(2).to_trn())
     code, out, _ = _run(capsys, ["aut", str(small)])
     assert code == 0 and json.loads(out)["automorphism_order"] == 81
     big = tmp_path / "m3.trn"
     big.write_text(make_moon_tower(3).to_trn())
-    code, _, err = _run(capsys, ["aut", str(big)])
-    assert code == 3
-    assert "infeasible" in err
+    code, out, _ = _run(capsys, ["aut", str(big)])
+    assert code == 0 and json.loads(out)["automorphism_order"] == 1594323
 
 
 def test_blocks_verb(tmp_path, capsys):
@@ -147,6 +146,24 @@ def test_verify_stacked_family_counts(capsys):
         c["observed"] for c in data["cases"] if c["name"].startswith("n=")
     ]
     assert observed == [1, 1, 2, 3, 4, 6, 9, 13, 19, 28]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["osmall", "--n-max", "5"], "osmall does not take n_max"),
+        (["moon-aut", "--n-max", "3"], "it accepts level_max"),
+        (["olarge", "--m-max", "3"], "olarge does not take m_max; it accepts n_max"),
+        (["fekete", "--n-max", "-1"], "n_max must be at least 1"),
+        (["L111", "--m-max", "0"], "m_max must be at least 1"),
+    ],
+    ids=["osmall-n-max", "moon-aut-n-max", "olarge-m-max", "negative", "zero"],
+)
+def test_verify_bad_parameter_is_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_unknown_verb_usage_exit(capsys):

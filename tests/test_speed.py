@@ -29,7 +29,7 @@ from tourneykit import (
     random_tournament,
     type1_tn_classes,
 )
-from tourneykit.verify import composition_seqs, t_family_table
+from tourneykit.verify import t_family_table
 
 
 def transitive(n):
@@ -78,12 +78,6 @@ class TestHereditaryClosure:
     def test_downward_closed(self):
         table = hereditary_closure([make_cyclic(7), transitive(6)], 7)
         assert table.is_downward_closed()
-
-    def test_worker_pool_matches_serial(self):
-        seeds = [make_T(s) for s in composition_seqs(9)]
-        serial = hereditary_closure(seeds, 9, workers=1)
-        parallel = hereditary_closure(seeds, 9, workers=2)
-        assert serial.forms == parallel.forms
 
     def test_seed_bound(self):
         with pytest.raises(InfeasibleSizeError):
