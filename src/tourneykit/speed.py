@@ -15,8 +15,13 @@ Two enumeration strategies back the speed tables:
   at once: for each pattern size s it gathers, with numpy, the labelled
   codes of every (s-1)-subset of the base joined to the new vertex under
   every orientation of the joining pairs, canonicalises only the distinct
-  codes, and rejects the orientations that spell a forbidden one.  Only
-  the surviving extensions are canonicalised.
+  codes, and rejects the orientations that spell a forbidden one.  Of
+  the survivors, only those whose new vertex has the least out-degree
+  (ties included) are canonicalised.  No class is lost: a member C on
+  k+1 vertices minus a least-out-degree vertex w is a member (the
+  property is hereditary), so C is rebuilt from the canonical base of
+  C - w with w as the new vertex, and that extension passes.  The dedup
+  set absorbs the classes reached more than once.
 
 Counting the n-vertex sub-tournament classes of one big host
 (distinct_sub_classes) enumerates n-subsets directly with canonical
@@ -258,6 +263,23 @@ def _rejected_masks(
     return rejected
 
 
+def _least_degree_masks(base: Tournament) -> np.ndarray:
+    """Which of the 2^k one-vertex extensions of a k-vertex base give the
+    new vertex k the least out-degree (ties included).
+
+    Bit i of an extension mask is set when k -> i, so k has out-degree
+    popcount(mask) and base vertex i has deg_base(i) + 1 - bit_i(mask).
+    """
+    masks = np.arange(1 << base.n)
+    new_degree = np.zeros_like(masks)
+    least = np.full_like(masks, base.n)
+    for i, o in enumerate(base.out_masks):
+        bit = (masks >> i) & 1
+        new_degree += bit
+        np.minimum(least, o.bit_count() + 1 - bit, out=least)
+    return new_degree <= least
+
+
 def avoidance_closure(
     forbidden: Sequence[Tournament],
     n_max: int,
@@ -268,7 +290,8 @@ def avoidance_closure(
     """Extension BFS over the property of tournaments with no forbidden
     induced sub-tournament.  A new vertex is appended with every possible
     orientation; one test per base decides which extensions contain a
-    pattern through the new vertex, and only the others are canonicalised."""
+    pattern through the new vertex; of the others, only those whose new
+    vertex has the least out-degree are canonicalised."""
     forb: dict[int, set[str]] = {}
     for h in forbidden:
         if h.n < 1:
@@ -286,9 +309,11 @@ def avoidance_closure(
         nxt: set[str] = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
-            rejected = _rejected_masks(base, forb_frozen).tolist()
+            wanted = (
+                _least_degree_masks(base) & ~_rejected_masks(base, forb_frozen)
+            ).tolist()
             for mask in range(1 << k):
-                # rejected extensions are built too: perfbench's traced run
+                # extensions left out are built too: perfbench's traced run
                 # checks from_beats calls against the extensions tried
                 ext = Tournament.from_beats(
                     k + 1,
@@ -296,7 +321,7 @@ def avoidance_closure(
                         (o[i] >> j) & 1 if j < kk else not ((m >> i) & 1)
                     ),
                 )
-                if rejected[mask]:
+                if not wanted[mask]:
                     continue
                 cl = canonical_form(ext).bits
                 if cl not in nxt:

@@ -55,7 +55,8 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        """At least one case, and every case holds: no cases checks nothing."""
+        return bool(self.cases) and all(c.passed for c in self.cases)
 
     def to_json(self) -> str:
         return json.dumps(

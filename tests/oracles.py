@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here except ``avoids_through_last`` avoids the library's
-canonical-form machinery on purpose: permutation action, exhaustive subset
+Everything here except ``avoids_through_last`` and
+``unfiltered_avoidance_forms`` avoids the library's canonical-form
+machinery on purpose: permutation action, exhaustive subset
 scans, and bipartition checks give second opinions for the fast
 implementations.  ``avoids_through_last`` is the direct per-extension
 pattern test (one induced sub-tournament and one canonical form per
@@ -9,13 +10,24 @@ subset), the reference for the extension BFS's per-base test.
 ``beam_canon_line`` is the breadth-first canonical search that keeps every
 branch attaining the minimal row, the reference for the pruned depth-first
 search; ``pair_out_masks`` is the per-pair decode of the pair bits.
+``unfiltered_avoidance_forms`` is the extension BFS without the
+least-out-degree filter: it canonicalises every extension the per-base
+pattern test lets through.  ``cycle_index_tournament_count`` and
+``brute_labelled_count`` count unlabelled and labelled tournaments without
+listing classes.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial, gcd
+
+import numpy as np
 
 from tourneykit import Tournament, canonical_form, pair_count, pair_index
+from tourneykit.speed import _rejected_masks
+from tourneykit.tournament import line_to_bits
 
 
 def _relabelled_codes(n: int, code: int):
@@ -254,3 +266,79 @@ def beam_canon_line(t: Tournament) -> str:
         states = nxt
         pieces.append(format(best, f"0{width}b"))
     return "".join(pieces)
+
+
+def unfiltered_avoidance_forms(
+    forbidden: list[Tournament], n_max: int
+) -> dict[int, tuple[str, ...]]:
+    """Level forms of the extension BFS that canonicalises every extension
+    the per-base pattern test does not reject."""
+    forb: dict[int, set[str]] = {}
+    for h in forbidden:
+        forb.setdefault(h.n, set()).add(canonical_form(h).bits)
+    forb_frozen = {size: frozenset(v) for size, v in forb.items()}
+    levels = {1: set() if 1 in forb_frozen else {canonical_form(Tournament(1, 0)).bits}}
+    for k in range(1, n_max):
+        nxt = set()
+        for line in sorted(levels[k]):
+            base = Tournament(k, line_to_bits(line))
+            rejected = _rejected_masks(base, forb_frozen).tolist()
+            for mask in range(1 << k):
+                if not rejected[mask]:
+                    nxt.add(canonical_form(extension(base, mask)).bits)
+        levels[k + 1] = nxt
+    return {n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max}
+
+
+def _odd_cycle_types(n: int, largest: int | None = None):
+    """Cycle types {length: count} of the permutations of n points whose
+    cycles all have odd length."""
+    if n == 0:
+        yield {}
+        return
+    top = n if largest is None else min(n, largest)
+    for r in range(top if top % 2 else top - 1, 0, -2):
+        for j in range(1, n // r + 1):
+            for rest in _odd_cycle_types(n - j * r, r - 2):
+                yield {r: j, **rest}
+
+
+def cycle_index_tournament_count(n: int) -> int:
+    """Unlabelled n-vertex tournaments, by Burnside over the symmetric group.
+
+    A permutation fixes a tournament only if all its cycles are odd; then
+    it fixes 2^e of them, e being its number of orbits on unordered pairs:
+    (r - 1)/2 inside an r-cycle and gcd(r, s) between an r- and an
+    s-cycle.  A type with j_r cycles of length r has n!/z members,
+    z = prod r^j_r j_r!.
+    """
+    total = Fraction(0)
+    for cycles in _odd_cycle_types(n):
+        e = sum(jr * js * gcd(r, s) for r, jr in cycles.items() for s, js in cycles.items())
+        e = (e - sum(cycles.values())) // 2
+        z = 1
+        for r, jr in cycles.items():
+            z *= r**jr * factorial(jr)
+        total += Fraction(2**e, z)
+    assert total.denominator == 1, total
+    return int(total)
+
+
+def brute_labelled_count(n: int, patterns: list[Tournament]) -> int:
+    """Labelled n-vertex tournaments with no induced copy of any pattern,
+    by a scan of all 2^C(n,2) codes against every relabelling of each
+    pattern (n <= 7 keeps the scan small)."""
+    codes = np.arange(1 << pair_count(n), dtype=np.int64)
+    member = np.ones(len(codes), dtype=bool)
+    for h in patterns:
+        if h.n > n:
+            continue
+        bad = np.zeros(1 << pair_count(h.n), dtype=bool)
+        bad[list(perm_images(h.n, h.bits))] = True
+        for sub in combinations(range(n), h.n):
+            induced = np.zeros_like(codes)
+            for a, b in combinations(range(h.n), 2):
+                bit = (codes >> pair_index(n, sub[a], sub[b])) & 1
+                induced |= bit << pair_index(h.n, a, b)
+            member &= ~bad[induced]
+    return int(member.sum())

@@ -3,10 +3,17 @@ reference and against brute-force containment."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import avoids_through_last, brute_contains_induced, extension
+from oracles import (
+    avoids_through_last,
+    brute_contains_induced,
+    extension,
+    pair_out_masks,
+    unfiltered_avoidance_forms,
+)
 from tourneykit import (
     Tournament,
     avoidance_closure,
@@ -17,7 +24,7 @@ from tourneykit import (
     make_cyclic,
     random_tournament,
 )
-from tourneykit.speed import _rejected_masks
+from tourneykit.speed import _least_degree_masks, _rejected_masks
 
 C3 = make_T((3,))
 TT3 = make_T((1, 1, 1))
@@ -63,16 +70,21 @@ def brute_forms(classes_by_n, patterns, n_max):
     }
 
 
+def pattern_sets(smallest: int):
+    """One to three labelled patterns on smallest..5 vertices."""
+    return st.lists(
+        st.integers(smallest, 5).flatmap(
+            lambda n: st.integers(0, (1 << (n * (n - 1) // 2)) - 1).map(
+                lambda bits: Tournament(n, bits)
+            )
+        ),
+        min_size=1,
+        max_size=3,
+    )
+
+
 # sizes 1 and 2 empty every level past 1; the fixed sets above cover them
-patterns_st = st.lists(
-    st.integers(3, 5).flatmap(
-        lambda n: st.integers(0, (1 << (n * (n - 1) // 2)) - 1).map(
-            lambda bits: Tournament(n, bits)
-        )
-    ),
-    min_size=1,
-    max_size=3,
-)
+patterns_st = pattern_sets(3)
 
 
 class TestPerBaseTest:
@@ -111,6 +123,34 @@ class TestClosureAgainstBruteForce:
     def test_cyclic4_speed_is_fstar_to_twelve(self):
         table = avoidance_closure([C4], 12)
         assert table.counts == {n: fstar(n) for n in range(1, 13)}
+
+
+class TestLeastDegreeFilter:
+    """Only extensions whose new vertex has the least out-degree are
+    canonicalised; every class is still reached."""
+
+    def test_keeps_exactly_the_least_degree_extensions(self, classes_by_n):
+        for k in range(1, 6):
+            for base in classes_by_n[k] + [random_tournament(k, k)]:
+                expected = []
+                for mask in range(1 << k):
+                    ext = extension(base, mask)
+                    degrees = [o.bit_count() for o in pair_out_masks(ext)]
+                    expected.append(degrees[k] == min(degrees))
+                assert _least_degree_masks(base).tolist() == expected, base
+
+    @pytest.mark.parametrize(
+        "patterns", [[C4], [TT3], []], ids=["cyclic4", "transitive3", "none"]
+    )
+    def test_matches_unfiltered_loop_to_eight(self, patterns):
+        table = avoidance_closure(patterns, 8)
+        assert table.forms == unfiltered_avoidance_forms(patterns, 8)
+
+    @given(pattern_sets(4))
+    @settings(max_examples=25, deadline=None)
+    def test_random_pattern_sets_match_unfiltered_loop(self, patterns):
+        table = avoidance_closure(patterns, 8)
+        assert table.forms == unfiltered_avoidance_forms(patterns, 8)
 
 
 class TestWideCodes:

@@ -148,6 +148,15 @@ def test_verify_stacked_family_counts(capsys):
     assert observed == [1, 1, 2, 3, 4, 6, 9, 13, 19, 28]
 
 
+def test_verify_with_no_cases_fails(capsys):
+    # type1-count starts at n = 2, so n_max = 1 leaves nothing to check
+    code, out, err = _run(capsys, ["verify", "type1-count", "--n-max", "1"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["cases"] == [] and data["passed"] is False
+    assert "FAIL (0 cases" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,0 +1,61 @@
+"""Level counts against oracles that need no list of classes: the
+cycle-index count of tournaments and the labelled-count identity
+sum over level n of n!/|Aut T| = number of labelled members."""
+
+from math import comb, factorial
+
+import pytest
+
+from oracles import brute_labelled_count, cycle_index_tournament_count
+from tourneykit import (
+    all_classes,
+    automorphism_order,
+    avoidance_closure,
+    make_T,
+    make_cyclic,
+)
+
+# OEIS A000568, n = 0..12
+A000568 = (
+    1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056, 903753248, 154108311168,
+)
+
+
+def labelled_total(table, n):
+    return sum(factorial(n) // automorphism_order(t) for t in table.members(n))
+
+
+class TestCycleIndex:
+    def test_matches_a000568_to_twelve(self):
+        assert [cycle_index_tournament_count(n) for n in range(13)] == list(A000568)
+
+    def test_matches_all_classes_to_eight(self, all_classes_8):
+        assert all_classes_8.counts == {
+            n: cycle_index_tournament_count(n) for n in range(1, 9)
+        }
+
+
+class TestLabelledIdentity:
+    def test_all_classes_to_eight(self, all_classes_8):
+        for n in all_classes_8.levels():
+            assert labelled_total(all_classes_8, n) == 2 ** comb(n, 2), n
+
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            [make_cyclic(4)],
+            [make_T((1, 1, 1))],
+            [make_T((3,)), make_cyclic(4)],
+            [make_cyclic(5), make_T((1, 3))],
+        ],
+        ids=["cyclic4", "transitive3", "triangle+cyclic4", "cyclic5+T13"],
+    )
+    def test_avoidance_to_six(self, patterns):
+        table = avoidance_closure(patterns, 6)
+        for n in range(1, 7):
+            assert labelled_total(table, n) == brute_labelled_count(n, patterns), n
+
+
+@pytest.mark.slow
+def test_all_classes_nine():
+    assert all_classes(9).count(9) == A000568[9] == 191536
