@@ -34,13 +34,27 @@ equal lines, so they differ by automorphisms.  The same walk counts the
 leaves that attain the canonical line, which are exactly the
 automorphisms: each skipped or abandoned child counts as its explored
 orbit mate, and the counts restart whenever a better leaf is found.
+
+The caller may hand the search automorphisms it already knows
+(``canonical_line_and_automorphisms``); the deletion closure hands each
+child the automorphisms of its parent that fix the deleted vertex.
+Known and found automorphisms filter the tied children before any
+lockstep: the automorphisms fixing a node's prefix pointwise permute its
+tied children, and when they join all of them into one orbit, their
+subtrees are images of each other, so only the first child is explored
+and the leaves below it are counted once per tied child.  The walk keeps
+that multiplier for the stretch below the deepest branch point; each
+branch point stores the multiplier in force above it, applies it to its
+total when it is done, and starts its next child at 1, so |Aut| stays
+exact.  The search returns its canonical labelling (the best leaf's path)
+and the automorphisms it knows, which generate the automorphism group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .tournament import Tournament, line_to_bits
 
@@ -83,6 +97,42 @@ def automorphism_order(t: Tournament) -> int:
     line.
     """
     return _search(t.n, t.bits)[1]
+
+
+def canonical_line_and_automorphisms(
+    n: int, bits: int, known: Sequence[Sequence[int]] = ()
+) -> tuple[str, list[tuple[int, ...]]]:
+    """Canonical line of the tournament (n, bits) and automorphisms of its
+    canonical representative.
+
+    ``known`` holds automorphisms of (n, bits) the caller already has, each
+    as the tuple of vertex images; they prune the search and leave the line
+    unchanged.  The automorphisms returned, the known ones among them, are
+    written in the canonical labelling (vertex i is the i-th vertex of the
+    line) and generate the automorphism group.
+    """
+    line, _, labelling, autos = _search(n, bits, known)
+    pos = [0] * n
+    for i, x in enumerate(labelling):
+        pos[x] = i
+    gens = dict.fromkeys(tuple([pos[g[x]] for x in labelling]) for g, _ in autos)
+    return line, list(gens)
+
+
+def orbit_mask(start: int, gens: Sequence[Sequence[int]]) -> int:
+    """The vertices reached from the vertex mask ``start`` by the
+    permutations ``gens``: its orbit under the group they generate."""
+    orbit = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        x = low.bit_length() - 1
+        for g in gens:
+            y = 1 << g[x]
+            if not orbit & y:
+                orbit |= y
+                frontier |= y
+    return orbit
 
 
 def _expand(
@@ -142,14 +192,17 @@ class _Branch:
     kids and ``current`` those under the kid being explored; ``done``
     maps each finished kid to its count.  ``orbits`` is a union-find over
     vertices, joining kids that automorphisms fixing the node's prefix map
-    onto each other.
+    onto each other.  ``mult`` is the product of the tied-children counts
+    folded into one child between the enclosing branch point and this one:
+    one leaf counted here stands for ``mult`` leaves there.
     """
 
     __slots__ = (
-        "depth", "kids", "taken", "total", "current", "done", "orbits", "shared", "row",
+        "depth", "kids", "taken", "total", "current", "done", "orbits", "shared",
+        "row", "mult",
     )
 
-    def __init__(self, depth: int, kids: list, shared: list[int], row: int):
+    def __init__(self, depth: int, kids: list, shared: list[int], row: int, mult: int):
         self.depth = depth
         self.kids = kids
         self.taken = 1  # kids taken so far, the current one included
@@ -159,8 +212,9 @@ class _Branch:
         self.orbits: list[int] | None = None
         self.shared = shared
         self.row = row
+        self.mult = mult
 
-    def merge(self, gamma: dict[int, int]) -> None:
+    def merge(self, gamma: list[int]) -> None:
         """Join each kid's orbit with that of its image under gamma."""
         if self.orbits is None:
             self.orbits = list(range(len(gamma)))
@@ -178,15 +232,37 @@ def _line(n: int, rows: list[int]) -> str:
     return format(line, f"0{n * (n - 1) // 2}b")
 
 
-def _automorphism(src: list[int], dst: list[int]) -> tuple[dict[int, int], int]:
+def _automorphism(src: list[int], dst: list[int]) -> tuple[list[int], int]:
     """dst o src^-1 for two leaves with one line, and the mask of its fixed
     points; it fixes the prefix the leaves share."""
-    gamma = dict(zip(src, dst))
+    gamma = [0] * len(src)
+    for x, y in zip(src, dst):
+        gamma[x] = y
+    return gamma, _fixed_points(gamma)
+
+
+def _fixed_points(g: Sequence[int]) -> int:
     fixed = 0
-    for x, y in gamma.items():
+    for x, y in enumerate(g):
         if x == y:
             fixed |= 1 << x
-    return gamma, fixed
+    return fixed
+
+
+def _one_orbit(tied: list, path: list[int], autos: list) -> bool:
+    """Whether the automorphisms fixing ``path`` pointwise join every tied
+    child into one orbit (they permute the tied children among
+    themselves)."""
+    prefix = 0
+    for p in path:
+        prefix |= 1 << p
+    gens = [g for g, fixed in autos if fixed & prefix == prefix]
+    if not gens:
+        return False
+    want = 0
+    for v, _ in tied:
+        want |= 1 << v
+    return orbit_mask(1 << tied[0][0], gens) == want
 
 
 def _lockstep(
@@ -234,19 +310,27 @@ def _lockstep(
         shared.append(low)
 
 
-def _search(n: int, bits: int) -> tuple[str, int]:
-    """Lex-min line and automorphism count of the tournament (n, bits)."""
+def _search(
+    n: int, bits: int, known: Sequence[Sequence[int]] = ()
+) -> tuple[str, int, list[int], list[tuple[list[int], int]]]:
+    """Lex-min line, automorphism count, canonical labelling (the best
+    leaf's path) and automorphisms of the tournament (n, bits), each as
+    (images, mask of fixed points): the known ones, then those found."""
     if n <= 1:
-        return "", 1
+        return "", 1, list(range(n)), []
     out = Tournament(n, bits).out_masks
     last = n - 2  # depth of the final row; one vertex is left after it
     path: list[int] = []  # vertices placed so far
     rows: list[int] = []  # their rows
     best_rows: list[int] = []
     best_path: list[int] = []
-    autos: list[tuple[dict[int, int], int]] = []  # (gamma, its fixed points)
+    # (gamma, its fixed points)
+    autos: list[tuple[Sequence[int], int]] = (
+        [(g, _fixed_points(g)) for g in known] if known else []
+    )
     # the bottom branch stands above the root and ends up holding |Aut|
-    stack = [_Branch(-1, [(None, (), [])], [], 0)]
+    stack = [_Branch(-1, [(None, (), [])], [], 0, 1)]
+    mult = 1  # tied children folded into one below the deepest branch
     better = True  # the path's rows beat the best leaf's (none yet)
     row, tied = _expand(out, ((1 << n) - 1,))
     while True:
@@ -265,6 +349,13 @@ def _search(n: int, bits: int) -> tuple[str, int]:
                 continue
             leaves = [path + [cells[0].bit_length() - 1]]
         elif tied:
+            if autos and _one_orbit(tied, path, autos):
+                # automorphisms fixing the path map each child's subtree onto
+                # the others': the loop goes down one child, counting its
+                # leaves len(tied) times
+                mult *= len(tied)
+                tied = tied[:1]
+                continue
             rows.append(row)
             lanes, shared, row, e, better = _lockstep(
                 out, tied, d, last, best_rows, better
@@ -275,7 +366,10 @@ def _search(n: int, bits: int) -> tuple[str, int]:
                 path += seg
                 continue
             if lanes and e < last:
-                branch = _Branch(d, [(seg[0], seg, t) for seg, t in lanes], shared, row)
+                branch = _Branch(
+                    d, [(seg[0], seg, t) for seg, t in lanes], shared, row, mult
+                )
+                mult = 1
                 if autos:
                     prefix = 0
                     for p in path:
@@ -295,14 +389,16 @@ def _search(n: int, bits: int) -> tuple[str, int]:
                 ]
         if leaves is not None:
             if len(stack) == 1:  # no branch point above: the only leaves
-                return _line(n, rows), len(leaves)
+                for leaf in leaves[1:]:
+                    autos.append(_automorphism(leaves[0], leaf))
+                return _line(n, rows), len(leaves) * mult, leaves[0], autos
             if better:
                 better = False
                 best_rows, best_path = rows[:], leaves[0]
                 for b in stack:
                     b.total = b.current = 0
                     b.done = dict.fromkeys(b.done, 0)
-                stack[-1].current = len(leaves)
+                stack[-1].current = len(leaves) * mult
                 found = [_automorphism(best_path, leaf) for leaf in leaves[1:]]
             else:
                 found = [_automorphism(best_path, leaves[0])]
@@ -343,11 +439,12 @@ def _search(n: int, bits: int) -> tuple[str, int]:
                 break
             stack.pop()
             if not stack:
-                return _line(n, best_rows), b.total
-            stack[-1].current += b.total
+                return _line(n, best_rows), b.total, best_path, autos
+            stack[-1].current += b.total * b.mult
         path[b.depth :] = kid[1]
         rows[b.depth + 1 :] = b.shared
         row, tied = b.row, kid[2]
+        mult = 1
         better = False
 
 
@@ -355,9 +452,10 @@ def contains_induced(t: Tournament, h: Tournament) -> "StructureWitness | None":
     """Find an induced embedding of h in t, or None.
 
     Returns a witness whose assignment maps pattern vertex q to host
-    vertex assignment[q].  Backtracking explores host vertices in
-    ascending order with out/in-degree feasibility pruning, so the first
-    witness found is the lexicographically minimal assignment vector.
+    vertex assignment[q].  Backtracking (on an explicit cursor per pattern
+    vertex, no recursion) explores host vertices in ascending order with
+    out/in-degree feasibility pruning, so the first witness found is the
+    lexicographically minimal assignment vector.
     """
     from .structures import StructureWitness
 
@@ -370,28 +468,29 @@ def contains_induced(t: Tournament, h: Tournament) -> "StructureWitness | None":
     hod = [m.bit_count() for m in hout]
     hid = [k - 1 - d for d in hod]
     img = [0] * k
-
-    def place(p: int, used: int) -> tuple[int, ...] | None:
-        if p == k:
-            return tuple(img)
-        for w in range(n):
-            if (used >> w) & 1:
-                continue
-            if tod[w] < hod[p] or tid[w] < hid[p]:
-                continue
-            ok = True
-            for q in range(p):
-                if ((hout[q] >> p) & 1) != ((tout[img[q]] >> w) & 1):
-                    ok = False
-                    break
-            if ok:
-                img[p] = w
-                found = place(p + 1, used | (1 << w))
-                if found is not None:
-                    return found
-        return None
-
-    assignment = place(0, 0)
-    if assignment is None:
-        return None
-    return StructureWitness(kind="embedding", assignment=assignment)
+    nxt = [0] * (k + 1)  # next host vertex to try for each pattern vertex
+    used = 0
+    p = 0
+    while p < k:
+        w = nxt[p]
+        while w < n:
+            if (
+                not (used >> w) & 1
+                and tod[w] >= hod[p]
+                and tid[w] >= hid[p]
+                and all(((hout[q] >> p) & 1) == ((tout[img[q]] >> w) & 1) for q in range(p))
+            ):
+                break
+            w += 1
+        if w < n:
+            img[p] = w
+            used |= 1 << w
+            nxt[p] = w + 1
+            p += 1
+            nxt[p] = 0
+        elif p == 0:
+            return None
+        else:
+            p -= 1
+            used ^= 1 << img[p]
+    return StructureWitness(kind="embedding", assignment=tuple(img))

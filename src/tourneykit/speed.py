@@ -5,7 +5,12 @@ Two enumeration strategies back the speed tables:
 * deletion BFS (hereditary_closure): start from the canonical forms of
   large seed tournaments and repeatedly delete single vertices with
   per-level canonical dedup.  Right when seed families are given as a few
-  large members and every level is wanted.
+  large members and every level is wanted.  Each kept class carries
+  automorphisms of its canonical representative, found by its canonical
+  search.  Only one vertex per orbit of those automorphisms is deleted,
+  since t - v and t - g(v) are isomorphic.  Each child's search is handed
+  the automorphisms that fix the deleted vertex, which restrict to
+  automorphisms of the child, so it need not rediscover them.
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -40,11 +45,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .canon import canonical_form
+from .canon import canonical_form, canonical_line_and_automorphisms, orbit_mask
 from .families import FlagTriple, make_M, make_cyclic, make_type1
 from .tournament import (
     InfeasibleSizeError,
     Tournament,
+    _delete_bits,
     concat,
     line_to_bits,
     pair_count,
@@ -146,13 +152,14 @@ def hereditary_closure(
             raise InfeasibleSizeError(
                 f"seed on {s.n} vertices exceeds the bound {max_seed_size}"
             )
-    levels: dict[int, set[str]] = {}
+    # level -> canonical line -> automorphisms of its representative
+    levels: dict[int, dict[str, list[tuple[int, ...]]]] = {}
     budget = _Budget(mem_budget, "closure")
     for s in seeds:
-        line = canonical_form(s).bits
-        bucket = levels.setdefault(s.n, set())
+        line, gens = canonical_line_and_automorphisms(s.n, s.bits)
+        bucket = levels.setdefault(s.n, {})
         if line not in bucket:
-            bucket.add(line)
+            bucket[line] = gens
             budget.charge(line, s.n, len(bucket))
 
     top = max(levels)
@@ -160,14 +167,31 @@ def hereditary_closure(
         cur = levels.get(size)
         if not cur:
             continue
-        child = levels.setdefault(size - 1, set())
+        child = levels.setdefault(size - 1, {})
+        built: set[int] = set()  # labelled children already canonicalised
         for line in sorted(cur):
-            t = Tournament(size, line_to_bits(line))
-            for v in range(size):
-                sub = canonical_form(t.delete(v)).bits
-                if sub not in child:
-                    child.add(sub)
-                    budget.charge(sub, size - 1, len(child))
+            bits = line_to_bits(line)
+            gens = cur[line]
+            left = (1 << size) - 1
+            while left:
+                # one deletion per orbit: t - v and t - g(v) are isomorphic
+                low = left & -left
+                left &= ~orbit_mask(low, gens)
+                v = low.bit_length() - 1
+                sub = _delete_bits(size, bits, v)
+                if sub in built:
+                    continue
+                built.add(sub)
+                # an automorphism fixing v restricts to one of t - v
+                known = [
+                    tuple([y - (y > v) for y in g[:v] + g[v + 1 :]])
+                    for g in gens
+                    if g[v] == v
+                ]
+                cl, cgens = canonical_line_and_automorphisms(size - 1, sub, known)
+                if cl not in child:
+                    child[cl] = cgens
+                    budget.charge(cl, size - 1, len(child))
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",

@@ -40,6 +40,24 @@ def bits_to_line(n: int, bits: int) -> str:
     return "".join("1" if (bits >> k) & 1 else "0" for k in range(pair_count(n)))
 
 
+def _delete_bits(n: int, bits: int, v: int) -> int:
+    """Packed pair bits of the n-vertex tournament ``bits`` less vertex v,
+    the others relabelled in order.  Unchecked: 0 <= v < n is assumed.
+
+    Rows i < v lose their bit for the pair (i, v), row v goes, and the
+    rows after it are already the new rows."""
+    out = 0
+    shift = 0
+    for i in range(v):
+        width = n - 1 - i
+        row = bits & ((1 << width) - 1)
+        bits >>= width
+        k = v - i - 1  # the bit of the pair (i, v) within row i
+        out |= ((row & ((1 << k) - 1)) | ((row >> (k + 1)) << k)) << shift
+        shift += width - 1
+    return out | (bits >> (n - 1 - v)) << shift
+
+
 def line_to_bits(line: str) -> int:
     """Parse a .trn body line into packed pair bits."""
     bits = 0
@@ -168,7 +186,7 @@ class Tournament:
     def delete(self, v: int) -> "Tournament":
         """Sub-tournament with one vertex removed."""
         self._check_vertex(v)
-        return self.induced([u for u in range(self.n) if u != v])
+        return Tournament(self.n - 1, _delete_bits(self.n, self.bits, v))
 
     def relabel(self, perm: Sequence[int]) -> "Tournament":
         """Apply a vertex relabelling: vertex i becomes perm[i]."""

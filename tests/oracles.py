@@ -14,7 +14,11 @@ search; ``pair_out_masks`` is the per-pair decode of the pair bits.
 least-out-degree filter: it canonicalises every extension the per-base
 pattern test lets through.  ``cycle_index_tournament_count`` and
 ``brute_labelled_count`` count unlabelled and labelled tournaments without
-listing classes.
+listing classes.  ``unpruned_hereditary_closure`` is the deletion BFS that
+deletes every vertex of every member, the reference for the closure that
+deletes one vertex per automorphism orbit.  ``brute_canonical_codes``
+names each labelled code's class by the least code over its relabellings,
+and ``brute_first_embedding`` scans injective maps in lexicographic order.
 """
 
 from __future__ import annotations
@@ -45,6 +49,17 @@ def _relabelled_codes(n: int, code: int):
                 t |= bit << pair_index(n, a, b)
                 k += 1
         yield t
+
+
+def relabellings(n: int, code: int):
+    """(p, the labelled code with vertex i renamed p[i]) for each of the
+    n! permutations p, in turn."""
+    return zip(permutations(range(n)), _relabelled_codes(n, code))
+
+
+def brute_automorphism_group(n: int, code: int) -> list[tuple[int, ...]]:
+    """Every permutation that maps the labelled code to itself."""
+    return [p for p, img in relabellings(n, code) if img == code]
 
 
 def perm_images(n: int, code: int) -> set[int]:
@@ -106,6 +121,32 @@ def brute_contains_induced(t: Tournament, h: Tournament) -> bool:
         brute_isomorphic(t.induced(sub), h)
         for sub in combinations(range(t.n), h.n)
     )
+
+
+def brute_first_embedding(t: Tournament, h: Tournament) -> tuple[int, ...] | None:
+    """The lexicographically least assignment of host vertices to pattern
+    vertices that induces h, by a scan of every injective map."""
+    for img in permutations(range(t.n), h.n):
+        if all(
+            h.beats(p, q) == t.beats(img[p], img[q])
+            for p, q in combinations(range(h.n), 2)
+        ):
+            return img
+    return None
+
+
+def brute_canonical_codes(n: int) -> list[int]:
+    """Entry c: the least labelled code over the relabellings of code c.
+
+    Codes are swept in increasing order, so the first code of an orbit
+    not yet marked is its least member."""
+    total = 1 << pair_count(n)
+    least = [-1] * total
+    for code in range(total):
+        if least[code] < 0:
+            for img in perm_images(n, code):
+                least[img] = code
+    return least
 
 
 def brute_has_cyclic_triangle(t: Tournament) -> bool:
@@ -287,6 +328,24 @@ def unfiltered_avoidance_forms(
                 if not rejected[mask]:
                     nxt.add(canonical_form(extension(base, mask)).bits)
         levels[k + 1] = nxt
+    return {n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max}
+
+
+def unpruned_hereditary_closure(
+    seeds: list[Tournament], n_max: int
+) -> dict[int, tuple[str, ...]]:
+    """Level forms of the deletion BFS that deletes every vertex of every
+    member and canonicalises each deletion."""
+    levels: dict[int, set[str]] = {}
+    for s in seeds:
+        levels.setdefault(s.n, set()).add(canonical_form(s).bits)
+    for size in range(max(levels), 1, -1):
+        child = levels.setdefault(size - 1, set())
+        for line in levels.get(size, ()):
+            t = Tournament(size, line_to_bits(line))
+            for v in range(size):
+                rest = [u for u in range(size) if u != v]
+                child.add(canonical_form(t.induced(rest)).bits)
     return {n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max}
 
 

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from oracles import (
     backtrack_automorphism_order,
     beam_canon_line,
+    brute_automorphism_group,
     brute_automorphism_order,
     brute_contains_induced,
+    brute_first_embedding,
     brute_isomorphic,
     perm_images,
+    relabellings,
 )
 from tourneykit import (
     Tournament,
@@ -30,6 +33,8 @@ from tourneykit import (
     pair_count,
     random_tournament,
 )
+from tourneykit.canon import _search, canonical_line_and_automorphisms
+from tourneykit.tournament import line_to_bits
 
 
 def paley(p):
@@ -42,6 +47,58 @@ def relabelled(t, seed):
     perm = list(range(t.n))
     random.Random(seed).shuffle(perm)
     return t.relabel(perm)
+
+
+def conjugate(g, p):
+    """The permutation g after vertex i is renamed p[i]."""
+    h = [0] * len(g)
+    for x, y in enumerate(g):
+        h[p[x]] = p[y]
+    return tuple(h)
+
+
+def compose(g, h):
+    """g after h."""
+    return tuple(g[x] for x in h)
+
+
+def group_order(gens, n):
+    """Order of the permutation group the generators generate, by listing it."""
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for h in frontier:
+            for g in gens:
+                gh = compose(g, h)
+                if gh not in seen:
+                    seen.add(gh)
+                    new.append(gh)
+        frontier = new
+    return len(seen)
+
+
+def with_odd_automorphism(n, rng):
+    """A random tournament fixed by a random permutation sigma whose cycles
+    all have odd length, and sigma.  Odd cycles never swap the two ends of
+    a pair, so orienting one pair of each sigma-orbit fixes the others."""
+    order = list(range(n))
+    rng.shuffle(order)
+    sigma = list(range(n))
+    i = 0
+    while i < n:
+        r = rng.choice([r for r in (1, 3, 5) if i + r <= n])
+        cycle = order[i : i + r]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            sigma[a] = b
+        i += r
+    beats = {}
+    for i, j in combinations(range(n), 2):
+        forward = rng.random() < 0.5
+        while (i, j) not in beats:
+            beats[i, j], beats[j, i] = forward, not forward
+            i, j = sigma[i], sigma[j]
+    return Tournament.from_beats(n, lambda i, j: beats[i, j]), tuple(sigma)
 
 
 def tournaments(max_n=7):
@@ -235,6 +292,91 @@ class TestAutomorphisms:
             sys.setrecursionlimit(limit)
 
 
+class TestSeededSearch:
+    """Automorphisms handed to the search prune it and change neither the
+    line nor |Aut|."""
+
+    def test_full_group_every_code_up_to_six_vertices(self):
+        for n in range(7):
+            done = set()
+            for code in range(1 << pair_count(n)):
+                if code in done:
+                    continue
+                group = brute_automorphism_group(n, code)
+                for p, img in relabellings(n, code):
+                    if img in done:
+                        continue
+                    done.add(img)
+                    known = [conjugate(g, p) for g in group]
+                    line, order = _search(n, img)[:2]
+                    assert _search(n, img, known)[:2] == (line, order), (n, img)
+                    assert order == len(group)
+                    if n <= 5:
+                        assert order == brute_automorphism_order(n, img)
+
+    def test_random_subgroups_of_random_codes(self):
+        rng = random.Random(12)
+        for trial in range(2000):
+            n = rng.randrange(7, 13)
+            if trial % 2:
+                t, sigma = with_odd_automorphism(n, rng)
+                full = [sigma]
+            else:
+                t, full = random_tournament(n, rng), []
+            line, order, _, autos = _search(n, t.bits)
+            full += [tuple(g) for g, _ in autos]
+            for g in full:
+                assert t.relabel(list(g)) == t
+            pool = full or [tuple(range(n))]  # the identity, on rigid codes
+            known = []
+            for _ in range(rng.randrange(4)):
+                word = tuple(range(n))
+                for _ in range(rng.randrange(1, 4)):
+                    word = compose(rng.choice(pool), word)
+                known.append(word)
+            assert _search(n, t.bits, known)[:2] == (line, order), (t, known)
+            assert _search(n, t.bits, full)[:2] == (line, order), (t, full)
+
+    @pytest.mark.parametrize(
+        "build, order",
+        [(lambda k=k: make_T((3,) * k), 3**k) for k in range(1, 9)]
+        + [
+            (lambda: paley(11), 55),
+            (lambda: paley(23), 253),
+            (lambda: make_moon_tower(2), 3**4),
+            (lambda: make_moon_tower(3), 3**13),
+            (lambda: make_cyclic(15), 15),
+        ],
+        ids=[f"T3x{k}" for k in range(1, 9)]
+        + ["paley11", "paley23", "moon2", "moon3", "cyclic15"],
+    )
+    def test_symmetric_families(self, build, order):
+        t = relabelled(build(), 5)
+        line, gens = canonical_line_and_automorphisms(t.n, t.bits)
+        assert line == canonical_form(t).bits
+        rep = Tournament(t.n, line_to_bits(line))
+        for g in gens:
+            assert rep.relabel(list(g)) == rep
+        if order <= 10**4:
+            assert group_order(gens, t.n) == order
+        rng = random.Random(order)
+        for seed in range(3):
+            p = list(range(t.n))
+            random.Random(seed).shuffle(p)
+            copy = rep.relabel(p)
+            moved = [conjugate(g, p) for g in gens]
+            for known in (moved, moved[:1], rng.sample(moved, len(moved) // 2)):
+                assert _search(t.n, copy.bits, known)[:2] == (line, order)
+
+    def test_generators_generate_the_group_up_to_six_vertices(self, classes_by_n):
+        for n, members in classes_by_n.items():
+            if n > 6:
+                continue
+            for t in members:
+                _, gens = canonical_line_and_automorphisms(n, t.bits)
+                assert group_order(gens, n) == automorphism_order(t), t
+
+
 class TestContainment:
     def test_self_containment_is_identity(self):
         t = random_tournament(6, 9)
@@ -264,6 +406,22 @@ class TestContainment:
         assert (got is not None) == brute_contains_induced(t, h)
         if got is not None:
             assert got.validate(t, pattern=h)
+
+    @given(tournaments(6), tournaments(4))
+    @settings(max_examples=80, deadline=None)
+    def test_witness_is_lexicographically_first(self, t, h):
+        got = contains_induced(t, h)
+        assert (got.assignment if got else None) == brute_first_embedding(t, h)
+
+    def test_long_pattern_does_not_recurse(self):
+        t = make_T((1,) * 300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = contains_induced(t, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got is not None and got.assignment == tuple(range(300))
 
     def test_witness_subsets_match_canonical_scan(self):
         rng = random.Random(4)

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tourneykit import Tournament, canonical_form, make_T, make_moon_tower, pair_count
+from tourneykit import (
+    Tournament,
+    canonical_form,
+    fstar,
+    make_T,
+    make_moon_tower,
+    pair_count,
+)
 from tourneykit.cli import run
 
 
@@ -146,6 +153,18 @@ def test_verify_stacked_family_counts(capsys):
         c["observed"] for c in data["cases"] if c["name"].startswith("n=")
     ]
     assert observed == [1, 1, 2, 3, 4, 6, 9, 13, 19, 28]
+
+
+@pytest.mark.slow
+def test_verify_stacked_family_to_sixteen(capsys):
+    code, out, _ = _run(capsys, ["verify", "T-equals-Fstar", "--n-max", "16"])
+    assert code == 0
+    data = json.loads(out)
+    observed = [
+        c["observed"] for c in data["cases"] if c["name"].startswith("n=")
+    ]
+    assert observed == [fstar(n) for n in range(1, 17)]
+    assert observed[-1] == 277
 
 
 def test_verify_with_no_cases_fails(capsys):

@@ -6,7 +6,11 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import brute_labelled_count, cycle_index_tournament_count
+from oracles import (
+    brute_canonical_codes,
+    brute_labelled_count,
+    cycle_index_tournament_count,
+)
 from tourneykit import (
     all_classes,
     automorphism_order,
@@ -14,6 +18,8 @@ from tourneykit import (
     make_T,
     make_cyclic,
 )
+from tourneykit.tournament import line_to_bits
+from tourneykit.verify import cyclic_family_table, t_family_table
 
 # OEIS A000568, n = 0..12
 A000568 = (
@@ -54,6 +60,19 @@ class TestLabelledIdentity:
         table = avoidance_closure(patterns, 6)
         for n in range(1, 7):
             assert labelled_total(table, n) == brute_labelled_count(n, patterns), n
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: t_family_table(9, 6), lambda: cyclic_family_table(12, 6)],
+        ids=["T-family", "cyclic-family"],
+    )
+    def test_deletion_closure_to_six(self, build):
+        table = build()
+        for n in range(1, 7):
+            least = brute_canonical_codes(n)
+            level = {least[line_to_bits(line)] for line in table.forms[n]}
+            members = sum(1 for c in least if c in level)
+            assert labelled_total(table, n) == members, n
 
 
 @pytest.mark.slow

@@ -9,10 +9,14 @@ from math import ceil, comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import unpruned_hereditary_closure
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
+    Tournament,
     avoidance_closure,
     canonical_form,
     check_olarge,
@@ -26,10 +30,13 @@ from tourneykit import (
     hereditary_closure,
     make_T,
     make_cyclic,
+    make_cyclic_blowup,
+    make_moon_tower,
+    pair_count,
     random_tournament,
     type1_tn_classes,
 )
-from tourneykit.verify import t_family_table
+from tourneykit.verify import composition_seqs, t_family_table
 
 
 def transitive(n):
@@ -126,6 +133,58 @@ class TestHereditaryClosure:
     def test_csv_shape(self):
         table = hereditary_closure([transitive(3)], 3)
         assert table.to_csv() == "n,count\n1,1\n2,1\n3,1\n"
+
+
+def paley(p):
+    qr = {(x * x) % p for x in range(1, p)}
+    return Tournament.from_beats(p, lambda i, j: (j - i) % p in qr)
+
+
+class TestClosureAgainstUnpruned:
+    """One deletion per automorphism orbit, with the stabilisers handed
+    down, finds the classes that deleting every vertex finds."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [make_T(seq) for seq in composition_seqs(12)],
+            lambda: [make_cyclic_blowup((11, 11, 11))],
+            lambda: [make_cyclic_blowup((12, 12, 1))],
+            lambda: [make_cyclic_blowup((8, 8, 8))],
+            lambda: [make_moon_tower(2)],
+            lambda: [paley(11)],
+            lambda: [paley(19)],
+            lambda: [make_cyclic(m) for m in range(1, 13)],
+        ],
+        ids=[
+            "T-sums-12", "blowup-11-11-11", "blowup-12-12-1", "blowup-8-8-8",
+            "moon2", "paley11", "paley19", "cyclic-12",
+        ],
+    )
+    def test_every_level(self, build):
+        seeds = build()
+        top = max(s.n for s in seeds)
+        assert hereditary_closure(seeds, top).forms == unpruned_hereditary_closure(
+            seeds, top
+        )
+
+    @given(
+        st.lists(
+            st.integers(1, 10).flatmap(
+                lambda n: st.builds(
+                    Tournament, st.just(n), st.integers(0, (1 << pair_count(n)) - 1)
+                )
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_seeds(self, seeds):
+        top = max(s.n for s in seeds)
+        assert hereditary_closure(seeds, top).forms == unpruned_hereditary_closure(
+            seeds, top
+        )
 
 
 class TestAvoidanceClosure:

@@ -17,6 +17,7 @@ from tourneykit import (
     random_tournament,
     read_edge_list,
 )
+from tourneykit.tournament import _delete_bits
 
 
 def tournaments(max_n=8):
@@ -89,6 +90,29 @@ class TestInduced:
             transitive(3).induced([0, 3])
         with pytest.raises(ValueError):
             transitive(3).induced([0, 0, 1])
+
+    def test_delete_bits_every_code_up_to_six_vertices(self):
+        for n in range(1, 7):
+            for code in range(1 << pair_count(n)):
+                t = Tournament(n, code)
+                for v in range(n):
+                    rest = [u for u in range(n) if u != v]
+                    assert _delete_bits(n, code, v) == t.induced(rest).bits, (n, code, v)
+
+    def test_delete_bits_random_codes(self):
+        rng = random.Random(5)
+        for n in range(7, 41):
+            for _ in range(20):
+                t = random_tournament(n, rng)
+                for v in (0, rng.randrange(n), n - 1):
+                    rest = [u for u in range(n) if u != v]
+                    assert _delete_bits(n, t.bits, v) == t.induced(rest).bits, (t, v)
+
+    def test_delete_checks_its_vertex(self):
+        assert transitive(4).delete(2) == transitive(3)
+        for v in (-1, 4):
+            with pytest.raises(ValueError):
+                transitive(4).delete(v)
 
     @given(tournaments(), st.data())
     @settings(max_examples=80, deadline=None)
