@@ -85,9 +85,16 @@ def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
     return canonical_form(t1) == canonical_form(t2)
 
 
-@lru_cache(maxsize=1 << 17)
-def _canon_line(n: int, bits: int) -> str:
+def canonical_line(n: int, bits: int) -> str:
+    """Canonical line of the tournament (n, bits), searched afresh.
+
+    For callers whose inputs rarely repeat, such as the extension BFS's
+    survivors, which would only fill the cache behind canonical_form.
+    """
     return _search(n, bits)[0]
+
+
+_canon_line = lru_cache(maxsize=1 << 17)(canonical_line)
 
 
 def automorphism_order(t: Tournament) -> int:

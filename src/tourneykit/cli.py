@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from math import ceil
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -152,6 +153,9 @@ def _detect(args) -> int:
 
 
 def _speed(args) -> int:
+    if args.n_max < 1:
+        print(f"speed --n-max must be at least 1, got {args.n_max}", file=sys.stderr)
+        return EXIT_USAGE
     if args.avoid:
         table = avoidance_closure(
             [_load(p) for p in args.avoid],
@@ -186,6 +190,14 @@ def _subcount(args) -> int:
     else:
         flags = tuple(_csv_ints(args.flags))
         if args.scan:
+            m_min = max(1, ceil(args.n / 3))
+            if args.scan < m_min:
+                print(
+                    f"subcount --scan {args.scan} is below the first host size "
+                    f"max(1, ceil(n/3)) = {m_min}: no host to count",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
             values, stable = count_sub_L_scan(flags, args.n, m_max=args.scan)
             if args.csv:
                 print("m,count")

@@ -21,12 +21,17 @@ Two enumeration strategies back the speed tables:
   codes of every (s-1)-subset of the base joined to the new vertex under
   every orientation of the joining pairs, canonicalises only the distinct
   codes, and rejects the orientations that spell a forbidden one.  Of
-  the survivors, only those whose new vertex has the least out-degree
-  (ties included) are canonicalised.  No class is lost: a member C on
-  k+1 vertices minus a least-out-degree vertex w is a member (the
-  property is hereditary), so C is rebuilt from the canonical base of
-  C - w with w as the new vertex, and that extension passes.  The dedup
-  set absorbs the classes reached more than once.
+  the survivors, only those whose new vertex is lex-least under
+  (out-degree, sum of its out-neighbours' out-degrees), ties included,
+  are canonicalised: the out-degree is tested on all 2^k masks, the sum
+  only on the masks that pass it and the pattern test.  No class is
+  lost: a member C on k+1 vertices minus a lex-least vertex w is a
+  member (the property is hereditary), so C is rebuilt from the
+  canonical base of C - w with w as the new vertex, and that extension
+  passes, since an isomorphism keeps any vertex invariant.  The dedup
+  set absorbs the classes reached more than once.  The survivors rarely
+  repeat, so each gets a fresh search rather than a slot in
+  canonical_form's cache.
 
 Counting the n-vertex sub-tournament classes of one big host
 (distinct_sub_classes) enumerates n-subsets directly with canonical
@@ -45,7 +50,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .canon import canonical_form, canonical_line_and_automorphisms, orbit_mask
+from .canon import (
+    canonical_form,
+    canonical_line,
+    canonical_line_and_automorphisms,
+    orbit_mask,
+)
 from .families import FlagTriple, make_M, make_cyclic, make_type1
 from .tournament import (
     InfeasibleSizeError,
@@ -304,6 +314,29 @@ def _least_degree_masks(base: Tournament) -> np.ndarray:
     return new_degree <= least
 
 
+def _least_invariant_masks(base: Tournament, masks: np.ndarray) -> np.ndarray:
+    """Which of the given extension masks, each of which gives the new
+    vertex k the least out-degree, also give it the least sum of its
+    out-neighbours' out-degrees among the vertices of least out-degree
+    (ties included).
+
+    In the extension by mask m, k beats the base vertices i with bit i of
+    m set, whose out-degree is deg_base(i); base vertex i beats its base
+    out-neighbours j, of out-degree deg_base(j) + 1 - bit_j(m), and beats
+    k when bit i is clear.
+    """
+    k = base.n
+    span = np.arange(k)
+    adj = ((np.array(base.out_masks)[:, None] >> span) & 1).astype(np.int16)
+    deg = adj.sum(axis=1)
+    bits = ((masks[:, None] >> span) & 1).astype(np.int16)
+    new_degree = bits.sum(axis=1)[:, None]
+    new_sum = (bits @ deg)[:, None]
+    degree = deg + 1 - bits
+    sums = adj @ (deg + 1) - bits @ adj.T + (1 - bits) * new_degree
+    return ((degree != new_degree) | (sums >= new_sum)).all(axis=1)
+
+
 def avoidance_closure(
     forbidden: Sequence[Tournament],
     n_max: int,
@@ -315,7 +348,9 @@ def avoidance_closure(
     induced sub-tournament.  A new vertex is appended with every possible
     orientation; one test per base decides which extensions contain a
     pattern through the new vertex; of the others, only those whose new
-    vertex has the least out-degree are canonicalised."""
+    vertex is lex-least under (out-degree, sum of its out-neighbours'
+    out-degrees) are canonicalised, each by a fresh search: the survivors
+    rarely repeat, so they bypass canonical_form's cache."""
     forb: dict[int, set[str]] = {}
     for h in forbidden:
         if h.n < 1:
@@ -333,9 +368,10 @@ def avoidance_closure(
         nxt: set[str] = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
-            wanted = (
-                _least_degree_masks(base) & ~_rejected_masks(base, forb_frozen)
-            ).tolist()
+            wanted = _least_degree_masks(base) & ~_rejected_masks(base, forb_frozen)
+            survivors = np.flatnonzero(wanted)
+            wanted[survivors] = _least_invariant_masks(base, survivors)
+            keep = wanted.tolist()
             for mask in range(1 << k):
                 # extensions left out are built too: perfbench's traced run
                 # checks from_beats calls against the extensions tried
@@ -345,9 +381,9 @@ def avoidance_closure(
                         (o[i] >> j) & 1 if j < kk else not ((m >> i) & 1)
                     ),
                 )
-                if not wanted[mask]:
+                if not keep[mask]:
                     continue
-                cl = canonical_form(ext).bits
+                cl = canonical_line(k + 1, ext.bits)
                 if cl not in nxt:
                     nxt.add(cl)
                     budget.charge(cl, k + 1, len(nxt))

@@ -92,7 +92,13 @@ def composition_seqs(total_max: int) -> Iterator[tuple[int, ...]]:
 
 
 def t_family_table(sum_max: int, n_max: int) -> SpeedTable:
-    seeds = [make_T(seq) for seq in composition_seqs(sum_max)]
+    """Speed table of the stacked 1/3-block family with sums <= sum_max.
+
+    Only the compositions of sum_max itself seed the closure: a shorter
+    sum's make_T(seq) is make_T(seq + (1,)) less its last vertex, so the
+    deletion BFS reaches it without a search of its own.
+    """
+    seeds = [make_T(seq) for seq in composition_seqs(sum_max) if sum(seq) == sum_max]
     return hereditary_closure(
         seeds,
         n_max,

@@ -19,6 +19,8 @@ deletes every vertex of every member, the reference for the closure that
 deletes one vertex per automorphism orbit.  ``brute_canonical_codes``
 names each labelled code's class by the least code over its relabellings,
 and ``brute_first_embedding`` scans injective maps in lexicographic order.
+``all_seeds_t_family_table`` seeds the stacked-family closure with every
+composition, not only those of the largest sum.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from math import factorial, gcd
 
 import numpy as np
 
-from tourneykit import Tournament, canonical_form, pair_count, pair_index
-from tourneykit.speed import _rejected_masks
+from tourneykit import Tournament, canonical_form, make_T, pair_count, pair_index
+from tourneykit.speed import SpeedTable, _rejected_masks, hereditary_closure
 from tourneykit.tournament import line_to_bits
+from tourneykit.verify import composition_seqs
 
 
 def _relabelled_codes(n: int, code: int):
@@ -329,6 +332,16 @@ def unfiltered_avoidance_forms(
                     nxt.add(canonical_form(extension(base, mask)).bits)
         levels[k + 1] = nxt
     return {n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max}
+
+
+def all_seeds_t_family_table(sum_max: int, n_max: int) -> SpeedTable:
+    """The stacked 1/3-block family's table with one seed per composition
+    of every sum up to sum_max."""
+    return hereditary_closure(
+        [make_T(seq) for seq in composition_seqs(sum_max)],
+        n_max,
+        seed_description=f"stacked 1/3 blocks, sums <= {sum_max}",
+    )
 
 
 def unpruned_hereditary_closure(

@@ -3,6 +3,7 @@ reference and against brute-force containment."""
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from oracles import (
 )
 from tourneykit import (
     Tournament,
+    all_classes,
     avoidance_closure,
     canonical_form,
     distinct_sub_classes,
@@ -24,7 +26,12 @@ from tourneykit import (
     make_cyclic,
     random_tournament,
 )
-from tourneykit.speed import _least_degree_masks, _rejected_masks
+from tourneykit.canon import _canon_line
+from tourneykit.speed import (
+    _least_degree_masks,
+    _least_invariant_masks,
+    _rejected_masks,
+)
 
 C3 = make_T((3,))
 TT3 = make_T((1, 1, 1))
@@ -151,6 +158,56 @@ class TestLeastDegreeFilter:
     def test_random_pattern_sets_match_unfiltered_loop(self, patterns):
         table = avoidance_closure(patterns, 8)
         assert table.forms == unfiltered_avoidance_forms(patterns, 8)
+
+
+def lex_least_invariant(base):
+    """Per mask: does the new vertex attain the least (out-degree, sum of
+    its out-neighbours' out-degrees) of the extension, ties included."""
+    k = base.n
+    expected = []
+    for mask in range(1 << k):
+        out = pair_out_masks(extension(base, mask))
+        degree = [o.bit_count() for o in out]
+        invariant = [
+            (degree[v], sum(degree[w] for w in range(k + 1) if (out[v] >> w) & 1))
+            for v in range(k + 1)
+        ]
+        expected.append(invariant[k] == min(invariant))
+    return expected
+
+
+def refined_masks(base):
+    """The least-out-degree masks, refined by the second invariant."""
+    wanted = _least_degree_masks(base)
+    survivors = np.flatnonzero(wanted)
+    wanted[survivors] = _least_invariant_masks(base, survivors)
+    return wanted.tolist()
+
+
+class TestLeastInvariantFilter:
+    """Of the least-out-degree extensions, only those whose new vertex also
+    has the least sum of out-neighbours' out-degrees are canonicalised."""
+
+    def test_keeps_exactly_the_lex_least_extensions(self, classes_by_n):
+        for k in range(1, 6):
+            for base in classes_by_n[k] + [random_tournament(k, k)]:
+                assert refined_masks(base) == lex_least_invariant(base), base
+
+    @given(
+        st.integers(6, 8).flatmap(lambda n: st.integers(0, 2**32).map(
+            lambda seed: random_tournament(n, seed)
+        ))
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_keeps_exactly_the_lex_least_extensions_on_random_bases(self, base):
+        assert refined_masks(base) == lex_least_invariant(base)
+
+    def test_survivors_bypass_the_shared_cache(self):
+        # only the one-vertex start goes through canonical_form's cache
+        before = _canon_line.cache_info()
+        all_classes(6)
+        after = _canon_line.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 class TestWideCodes:

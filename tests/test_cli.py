@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from tourneykit import (
     make_moon_tower,
     pair_count,
 )
+import tourneykit
 from tourneykit.cli import run
 
 
@@ -129,6 +134,49 @@ def test_subcount_scan(capsys):
     data = json.loads(out)
     assert data["stabilized_m"] is not None
     assert data["values"][-1]["count"] == 4
+
+
+@pytest.mark.parametrize("n_max", ["0", "-2"])
+def test_speed_without_levels_is_usage_error(tmp_path, capsys, n_max):
+    seed = tmp_path / "seed.trn"
+    seed.write_text(make_T((1, 1, 1)).to_trn())
+    code, out, err = _run(capsys, ["speed", "--seeds", str(seed), "--n-max", n_max])
+    assert code == 2
+    assert out == ""
+    assert "--n-max must be at least 1" in err
+
+
+@pytest.mark.parametrize("scan", ["1", "-1"])
+def test_subcount_scan_below_first_host_is_usage_error(capsys, scan):
+    # n = 5 needs hosts of at least ceil(5/3) = 2 layers
+    code, out, err = _run(
+        capsys, ["subcount", "--flags", "1,1,1", "--n", "5", "--scan", scan]
+    )
+    assert code == 2
+    assert out == ""
+    assert "below the first host size" in err
+
+
+def test_subcount_scan_to_first_host(capsys):
+    code, out, _ = _run(
+        capsys, ["subcount", "--flags", "1,1,1", "--n", "5", "--scan", "2"]
+    )
+    assert code == 0
+    assert [v["m"] for v in json.loads(out)["values"]] == [2]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimised"])
+def test_python_m_tourneykit(capsys, flags):
+    argv = ["verify", "T-equals-Fstar", "--n-max", "8"]
+    src = str(Path(tourneykit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "tourneykit", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = _run(capsys, argv)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == out
 
 
 def test_verify_pass_and_reproducible(capsys):

@@ -54,6 +54,11 @@ class TestStackedFamily:
             pre = seq[:cut]
             assert make_T(seq).induced(range(sum(pre))) == make_T(pre)
 
+    def test_shorter_sum_is_a_deletion_of_a_longer_one(self):
+        # why the stacked-family closure needs only the seeds of the largest sum
+        for seq in composition_seqs(12):
+            assert make_T(seq) == make_T(seq + (1,)).delete(sum(seq)), seq
+
     def test_reconstruct_round_trip(self):
         for seq in composition_seqs(10):
             assert reconstruct_seq(make_T(seq)).terms == seq

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import unpruned_hereditary_closure
+from oracles import all_seeds_t_family_table, unpruned_hereditary_closure
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
@@ -76,6 +76,12 @@ class TestHereditaryClosure:
         assert [table.count(n) for n in range(1, 11)] == [
             fstar(n) for n in range(1, 11)
         ]
+
+    @pytest.mark.parametrize("sum_max", range(1, 14))
+    def test_stacked_family_matches_all_seeds(self, sum_max):
+        table = t_family_table(sum_max, sum_max)
+        want = all_seeds_t_family_table(sum_max, sum_max)
+        assert (table.seed, table.forms) == (want.seed, want.forms)
 
     def test_cyclic_family_level_four(self):
         seeds = [make_cyclic(m) for m in range(1, 13)]
