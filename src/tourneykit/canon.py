@@ -13,8 +13,9 @@ out-neighbours (bit 1), which both minimises the row and commits a cell
 split.  Only the first cell's vertices that realise the minimal row are
 children of a node, so every leaf whose line is lex-min is in the tree.
 
-The tree is walked depth first with an explicit stack of branch points
-(no recursion), pruned in two exact ways:
+The tree is walked depth first with an explicit stack of branch points,
+the nodes with more than one tied child (no recursion), pruned in two
+exact ways:
 
 * prefix pruning: a node whose rows exceed the best leaf's rows at some
   depth is cut, since rows occupy earlier string positions than anything
@@ -22,32 +23,20 @@ The tree is walked depth first with an explicit stack of branch points
 * orbit pruning: a leaf equal to the best leaf gives the automorphism
   gamma = leaf o best^-1, which fixes the common prefix pointwise and maps
   the best leaf's subtree onto the current one, so the current child is
-  abandoned; a child in the orbit of an explored sibling under the
-  automorphisms found so far that fix the node's prefix is skipped.
+  abandoned; the automorphisms fixing a node's prefix pointwise permute
+  its tied children, so a child in the orbit of an explored sibling under
+  the known and found automorphisms that fix the prefix is skipped.
 
-At a branch point the tied children advance together, level by level,
-keeping only those with the smallest row, until one is left, one of them
-branches in turn, or they reach leaves; only then are they explored one
-after another.  On rigid inputs the lockstep settles most ties without a
-dive that loses to a sibling; children that reach leaves together have
-equal lines, so they differ by automorphisms.  The same walk counts the
-leaves that attain the canonical line, which are exactly the
-automorphisms: each skipped or abandoned child counts as its explored
-orbit mate, and the counts restart whenever a better leaf is found.
+The same walk counts the leaves that attain the canonical line, which
+are exactly the automorphisms: each skipped or abandoned child counts as
+its explored orbit mate, and the counts restart whenever a better leaf
+is found.
 
 The caller may hand the search automorphisms it already knows
 (``canonical_line_and_automorphisms``); the deletion closure hands each
-child the automorphisms of its parent that fix the deleted vertex.
-Known and found automorphisms filter the tied children before any
-lockstep: the automorphisms fixing a node's prefix pointwise permute its
-tied children, and when they join all of them into one orbit, their
-subtrees are images of each other, so only the first child is explored
-and the leaves below it are counted once per tied child.  The walk keeps
-that multiplier for the stretch below the deepest branch point; each
-branch point stores the multiplier in force above it, applies it to its
-total when it is done, and starts its next child at 1, so |Aut| stays
-exact.  The search returns its canonical labelling (the best leaf's path)
-and the automorphisms it knows, which generate the automorphism group.
+child the automorphisms of its parent that fix the deleted vertex.  The
+search returns its canonical labelling (the best leaf's path) and the
+automorphisms it knows, which generate the automorphism group.
 """
 
 from __future__ import annotations
@@ -193,35 +182,27 @@ def _find(uf: list[int], x: int) -> int:
 class _Branch:
     """A search node whose tied children are explored one after another.
 
-    A kid is (vertex, the vertices it places, its tied children); all kids
-    share the rows ``shared`` below the node and then the row ``row``.
+    Its kids are (vertex, refined cells); all of them have the row ``row``.
     ``total`` counts the leaves attaining the best line under finished
     kids and ``current`` those under the kid being explored; ``done``
     maps each finished kid to its count.  ``orbits`` is a union-find over
     vertices, joining kids that automorphisms fixing the node's prefix map
-    onto each other.  ``mult`` is the product of the tied-children counts
-    folded into one child between the enclosing branch point and this one:
-    one leaf counted here stands for ``mult`` leaves there.
+    onto each other.
     """
 
-    __slots__ = (
-        "depth", "kids", "taken", "total", "current", "done", "orbits", "shared",
-        "row", "mult",
-    )
+    __slots__ = ("depth", "kids", "row", "taken", "total", "current", "done", "orbits")
 
-    def __init__(self, depth: int, kids: list, shared: list[int], row: int, mult: int):
+    def __init__(self, depth: int, kids: list, row: int):
         self.depth = depth
         self.kids = kids
+        self.row = row
         self.taken = 1  # kids taken so far, the current one included
         self.total = 0
         self.current = 0
         self.done: dict[int | None, int] = {}
         self.orbits: list[int] | None = None
-        self.shared = shared
-        self.row = row
-        self.mult = mult
 
-    def merge(self, gamma: list[int]) -> None:
+    def merge(self, gamma: Sequence[int]) -> None:
         """Join each kid's orbit with that of its image under gamma."""
         if self.orbits is None:
             self.orbits = list(range(len(gamma)))
@@ -239,15 +220,6 @@ def _line(n: int, rows: list[int]) -> str:
     return format(line, f"0{n * (n - 1) // 2}b")
 
 
-def _automorphism(src: list[int], dst: list[int]) -> tuple[list[int], int]:
-    """dst o src^-1 for two leaves with one line, and the mask of its fixed
-    points; it fixes the prefix the leaves share."""
-    gamma = [0] * len(src)
-    for x, y in zip(src, dst):
-        gamma[x] = y
-    return gamma, _fixed_points(gamma)
-
-
 def _fixed_points(g: Sequence[int]) -> int:
     fixed = 0
     for x, y in enumerate(g):
@@ -256,70 +228,9 @@ def _fixed_points(g: Sequence[int]) -> int:
     return fixed
 
 
-def _one_orbit(tied: list, path: list[int], autos: list) -> bool:
-    """Whether the automorphisms fixing ``path`` pointwise join every tied
-    child into one orbit (they permute the tied children among
-    themselves)."""
-    prefix = 0
-    for p in path:
-        prefix |= 1 << p
-    gens = [g for g, fixed in autos if fixed & prefix == prefix]
-    if not gens:
-        return False
-    want = 0
-    for v, _ in tied:
-        want |= 1 << v
-    return orbit_mask(1 << tied[0][0], gens) == want
-
-
-def _lockstep(
-    out: tuple[int, ...],
-    tied: list[tuple[int, tuple[int, ...]]],
-    depth: int,
-    last: int,
-    best_rows: list[int],
-    better: bool,
-) -> tuple[list, list[int], int, int, bool]:
-    """Advance the tied children of a node at ``depth`` together.
-
-    Lanes are (vertices placed, tied children of the lane's node).  Each
-    level keeps the lanes with the smallest row; the walk stops when one
-    lane is left, a lane branches, or the lanes reach the final row.
-    Returns the lanes, the rows they share below the node, their next row,
-    its depth, and whether the rows now beat the best leaf's.  No lanes
-    means the rows exceed the best leaf's.
-    """
-    shared: list[int] = []
-    lanes: list = [((), [kid]) for kid in tied]
-    e = depth
-    while True:
-        low = None
-        nxt = []
-        for seg, t in lanes:
-            v, cells = t[0]
-            r, t = _expand(out, cells)
-            if low is None or r < low:
-                low = r
-                nxt = [(seg + (v,), t)]
-            elif r == low:
-                nxt.append((seg + (v,), t))
-        lanes = nxt
-        e += 1
-        if not better and low != best_rows[e]:
-            better = low < best_rows[e]
-            if not better:
-                return [], shared, low, e, better
-        if len(lanes) == 1 or e == last:
-            return lanes, shared, low, e, better
-        for _, t in lanes:
-            if len(t) > 1:
-                return lanes, shared, low, e, better
-        shared.append(low)
-
-
 def _search(
     n: int, bits: int, known: Sequence[Sequence[int]] = ()
-) -> tuple[str, int, list[int], list[tuple[list[int], int]]]:
+) -> tuple[str, int, list[int], list[tuple[Sequence[int], int]]]:
     """Lex-min line, automorphism count, canonical labelling (the best
     leaf's path) and automorphisms of the tournament (n, bits), each as
     (images, mask of fixed points): the known ones, then those found."""
@@ -332,12 +243,9 @@ def _search(
     best_rows: list[int] = []
     best_path: list[int] = []
     # (gamma, its fixed points)
-    autos: list[tuple[Sequence[int], int]] = (
-        [(g, _fixed_points(g)) for g in known] if known else []
-    )
+    autos: list[tuple[Sequence[int], int]] = [(g, _fixed_points(g)) for g in known]
     # the bottom branch stands above the root and ends up holding |Aut|
-    stack = [_Branch(-1, [(None, (), [])], [], 0, 1)]
-    mult = 1  # tied children folded into one below the deepest branch
+    stack = [_Branch(-1, [(None, ())], 0)]
     better = True  # the path's rows beat the best leaf's (none yet)
     row, tied = _expand(out, ((1 << n) - 1,))
     while True:
@@ -346,80 +254,48 @@ def _search(
             better = row < best_rows[d]
             if not better:
                 tied = []  # cut: rows exceed the best leaf's
-        leaves = None
-        if len(tied) == 1:
-            rows.append(row)
+        if len(tied) > 1:
+            branch = _Branch(d, tied, row)
+            if autos:
+                prefix = 0
+                for p in path:
+                    prefix |= 1 << p
+                for gamma, fixed in autos:
+                    if fixed & prefix == prefix:
+                        branch.merge(gamma)
+            stack.append(branch)
+        if tied:
             v, cells = tied[0]
+            rows.append(row)
             path.append(v)
             if d < last:
                 row, tied = _expand(out, cells)
                 continue
-            leaves = [path + [cells[0].bit_length() - 1]]
-        elif tied:
-            if autos and _one_orbit(tied, path, autos):
-                # automorphisms fixing the path map each child's subtree onto
-                # the others': the loop goes down one child, counting its
-                # leaves len(tied) times
-                mult *= len(tied)
-                tied = tied[:1]
-                continue
-            rows.append(row)
-            lanes, shared, row, e, better = _lockstep(
-                out, tied, d, last, best_rows, better
-            )
-            rows += shared
-            if len(lanes) == 1:
-                seg, tied = lanes[0]
-                path += seg
-                continue
-            if lanes and e < last:
-                branch = _Branch(
-                    d, [(seg[0], seg, t) for seg, t in lanes], shared, row, mult
-                )
-                mult = 1
-                if autos:
-                    prefix = 0
-                    for p in path:
-                        prefix |= 1 << p
-                    for gamma, fixed in autos:
-                        if fixed & prefix == prefix:
-                            branch.merge(gamma)
-                stack.append(branch)
-                seg, tied = lanes[0]
-                path += seg
-                continue
-            if lanes:  # the lanes end in leaves with one line
-                rows.append(row)
-                leaves = [
-                    [*path, *seg, t[0][0], t[0][1][0].bit_length() - 1]
-                    for seg, t in lanes
-                ]
-        if leaves is not None:
-            if len(stack) == 1:  # no branch point above: the only leaves
-                for leaf in leaves[1:]:
-                    autos.append(_automorphism(leaves[0], leaf))
-                return _line(n, rows), len(leaves) * mult, leaves[0], autos
+            path.append(cells[0].bit_length() - 1)  # a leaf
+            if len(stack) == 1:  # no branch point above: the only leaf
+                return _line(n, rows), 1, path, autos
             if better:
                 better = False
-                best_rows, best_path = rows[:], leaves[0]
+                best_rows, best_path = rows[:], path[:]
                 for b in stack:
                     b.total = b.current = 0
                     b.done = dict.fromkeys(b.done, 0)
-                stack[-1].current = len(leaves) * mult
-                found = [_automorphism(best_path, leaf) for leaf in leaves[1:]]
+                stack[-1].current = 1
             else:
-                found = [_automorphism(best_path, leaves[0])]
-                # It maps the best leaf's kid at the branch point where the
-                # two paths part onto the current kid: abandon that kid,
+                # gamma = leaf o best^-1 fixes the prefix the two leaves
+                # share and maps the best leaf's kid at the branch point
+                # where they part onto the current kid: abandon that kid,
                 # counting it as its image.
+                gamma = [0] * n
+                for x, y in zip(best_path, path):
+                    gamma[x] = y
+                autos.append((gamma, _fixed_points(gamma)))
                 div = 0
-                while leaves[0][div] == best_path[div]:
+                while path[div] == best_path[div]:
                     div += 1
                 while stack[-1].depth > div:
                     stack.pop()
                 stack[-1].current = stack[-1].done[best_path[div]]
-            autos += found
-            for gamma, _ in found:
                 for b in stack[1:]:
                     b.merge(gamma)
         # The deepest branch's current kid is finished: move on to its next
@@ -447,11 +323,9 @@ def _search(
             stack.pop()
             if not stack:
                 return _line(n, best_rows), b.total, best_path, autos
-            stack[-1].current += b.total * b.mult
-        path[b.depth :] = kid[1]
-        rows[b.depth + 1 :] = b.shared
-        row, tied = b.row, kid[2]
-        mult = 1
+            stack[-1].current += b.total
+        del path[b.depth :], rows[b.depth :]
+        row, tied = b.row, [kid]
         better = False
 
 

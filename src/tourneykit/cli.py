@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from math import ceil
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -45,6 +44,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 RANDOM_MAX_N = 2048  # `gen random` cap: ~2M pair bits, a 2 MB .trn file
+# `gen` families and how many parameters each needs at least
+FAMILY_ARITY = {
+    "T": 1, "M": 2, "Mk": 2, "cyclic": 1, "TS": 1, "Tstar": 1, "type1": 1,
+    "moon": 1, "blowup": 1, "random": 1,
+}
 
 
 def _load(path: str) -> Tournament:
@@ -64,13 +68,18 @@ def _csv_ints(s: str) -> list[int]:
     return [int(x) for x in s.split(",")]
 
 
-def _emit(obj, args) -> None:
+def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _gen(args) -> int:
     fam = args.family
     params = args.params
+    if fam not in FAMILY_ARITY:
+        print(f"unknown family {fam!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if len(params) < FAMILY_ARITY[fam]:
+        raise ValueError("missing family parameters")
     if fam == "T":
         t = make_T(_csv_ints(params[0]))
     elif fam == "M":
@@ -93,16 +102,13 @@ def _gen(args) -> int:
         t = make_moon_tower(int(params[0]))
     elif fam == "blowup":
         t = make_cyclic_blowup(_csv_ints(params[0]))
-    elif fam == "random":
+    else:  # random
         n = int(params[0])
         if n > RANDOM_MAX_N:
             raise InfeasibleSizeError(
                 f"gen random is capped at {RANDOM_MAX_N} vertices, got {n}"
             )
         t = random_tournament(n, args.seed)
-    else:
-        print(f"unknown family {fam!r}", file=sys.stderr)
-        return EXIT_USAGE
     text = t.to_trn()
     if args.output:
         Path(args.output).write_text(text)
@@ -118,13 +124,13 @@ def _canon(args) -> int:
 
 def _iso(args) -> int:
     same = is_isomorphic(_load(args.a), _load(args.b))
-    _emit({"isomorphic": same}, args)
+    _emit({"isomorphic": same})
     return EXIT_OK
 
 
 def _aut(args) -> int:
     order = automorphism_order(_load(args.file))
-    _emit({"automorphism_order": order}, args)
+    _emit({"automorphism_order": order})
     return EXIT_OK
 
 
@@ -136,8 +142,7 @@ def _blocks(args) -> int:
             "blocks": [sorted(b) for b in dec.blocks],
             "sequence": list(dec.sequence),
             "quotient": {"n": dec.quotient.n, "trn": dec.quotient.body_line()},
-        },
-        args,
+        }
     )
     return EXIT_OK
 
@@ -146,9 +151,9 @@ def _detect(args) -> int:
     t = _load(args.file)
     w = (detect_type1 if args.type == 1 else detect_type2)(t, args.k)
     if w is None:
-        _emit({"found": False}, args)
+        _emit({"found": False})
         return EXIT_FAIL
-    _emit({"found": True, "kind": w.kind, "assignment": list(w.assignment)}, args)
+    _emit({"found": True, "kind": w.kind, "assignment": list(w.assignment)})
     return EXIT_OK
 
 
@@ -179,25 +184,20 @@ def _speed(args) -> int:
 
 
 def _subcount(args) -> int:
+    if args.csv and args.scan is None:
+        print("subcount --csv needs --scan: only a scan is a table", file=sys.stderr)
+        return EXIT_USAGE
     if args.cyclic:
         result = {"n": args.n, "count": count_cyclic_subs(args.n)}
     elif args.flags is None:
         print("subcount needs --flags or --cyclic", file=sys.stderr)
         return EXIT_USAGE
-    elif args.m is None and not args.scan:
+    elif args.m is None and args.scan is None:
         print("subcount --flags needs --m or --scan", file=sys.stderr)
         return EXIT_USAGE
     else:
         flags = tuple(_csv_ints(args.flags))
-        if args.scan:
-            m_min = max(1, ceil(args.n / 3))
-            if args.scan < m_min:
-                print(
-                    f"subcount --scan {args.scan} is below the first host size "
-                    f"max(1, ceil(n/3)) = {m_min}: no host to count",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
+        if args.scan is not None:
             values, stable = count_sub_L_scan(flags, args.n, m_max=args.scan)
             if args.csv:
                 print("m,count")
@@ -217,7 +217,7 @@ def _subcount(args) -> int:
                 "m": args.m,
                 "count": count_sub_L(flags, args.n, args.m),
             }
-    _emit(result, args)
+    _emit(result)
     return EXIT_OK
 
 
@@ -247,59 +247,55 @@ def build_parser() -> argparse.ArgumentParser:
         "--mem-budget", type=int, default=2 * 1024**3, help="closure budget, bytes"
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling verbs")
-    shared = argparse.ArgumentParser(add_help=False)
-    fmt = shared.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument(
-        "--csv", action="store_true", help="CSV output (speed tables only)"
-    )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    g = sub.add_parser("gen", parents=[shared], help="generate a family member as .trn")
-    g.add_argument("family", help="T|M|Mk|cyclic|TS|Tstar|type1|moon|blowup|random")
+    g = sub.add_parser("gen", help="generate a family member as .trn")
+    g.add_argument("family", help="|".join(FAMILY_ARITY))
     g.add_argument("params", nargs="*", help="family parameters")
     g.add_argument("-o", "--output")
     g.set_defaults(fn=_gen)
 
-    c = sub.add_parser("canon", parents=[shared], help="print the canonical line of a .trn file")
+    c = sub.add_parser("canon", help="print the canonical line of a .trn file")
     c.add_argument("file")
     c.set_defaults(fn=_canon)
 
-    i = sub.add_parser("iso", parents=[shared], help="isomorphism test")
+    i = sub.add_parser("iso", help="isomorphism test")
     i.add_argument("a")
     i.add_argument("b")
     i.set_defaults(fn=_iso)
 
-    a = sub.add_parser("aut", parents=[shared], help="automorphism group order")
+    a = sub.add_parser("aut", help="automorphism group order")
     a.add_argument("file")
     a.set_defaults(fn=_aut)
 
-    b = sub.add_parser("blocks", parents=[shared], help="homogeneous block decomposition")
+    b = sub.add_parser("blocks", help="homogeneous block decomposition")
     b.add_argument("file")
     b.set_defaults(fn=_blocks)
 
-    d = sub.add_parser("detect", parents=[shared], help="find a type-1/type-2 k-structure")
+    d = sub.add_parser("detect", help="find a type-1/type-2 k-structure")
     d.add_argument("--type", type=int, choices=(1, 2), required=True)
     d.add_argument("--k", type=int, required=True)
     d.add_argument("file")
     d.set_defaults(fn=_detect)
 
-    s = sub.add_parser("speed", parents=[shared], help="speed table of a hereditary property")
+    s = sub.add_parser("speed", help="speed table of a hereditary property")
     s.add_argument("--seeds", nargs="+", help=".trn seeds for deletion closure")
     s.add_argument("--avoid", nargs="+", help=".trn forbidden patterns")
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--forms", action="store_true", help="include canonical lines")
+    s.add_argument("--csv", action="store_true", help="CSV output, n,count")
     s.set_defaults(fn=_speed)
 
-    sc = sub.add_parser("subcount", parents=[shared], help="count n-vertex sub-tournament classes")
+    sc = sub.add_parser("subcount", help="count n-vertex sub-tournament classes")
     sc.add_argument("--n", type=int, required=True)
     sc.add_argument("--flags", help="I1,I2,I3 for the layered flag family")
     sc.add_argument("--m", type=int, help="host layer count")
     sc.add_argument("--scan", type=int, help="scan m upward to this bound")
     sc.add_argument("--cyclic", action="store_true", help="use the cyclic host")
+    sc.add_argument("--csv", action="store_true", help="CSV output of --scan, m,count")
     sc.set_defaults(fn=_subcount)
 
-    v = sub.add_parser("verify", parents=[shared], help="run one verification suite case")
+    v = sub.add_parser("verify", help="run one verification suite case")
     v.add_argument("id", choices=sorted(verify_mod.LEMMA_IDS))
     v.add_argument("--n-max", type=int, default=None)
     v.add_argument("--m-max", type=int, default=None)
@@ -315,9 +311,6 @@ def run(argv: list[str] | None = None) -> int:
     except InfeasibleSizeError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except IndexError:
-        print("error: missing family parameters", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -475,9 +475,14 @@ def count_sub_L_scan(
 
     Returns (list of (m, count), stabilized_m or None).  Counts are
     checked to be non-decreasing; the hosts nest, so a decrease would be
-    a bug.
+    a bug.  An m_max below max(1, ceil(n/3)) leaves no host: ValueError.
     """
     m_min = max(1, ceil(n / 3))
+    if m_max < m_min:
+        raise ValueError(
+            f"m_max = {m_max} is below the first host size "
+            f"max(1, ceil(n/3)) = {m_min} for n = {n}: no host to count"
+        )
     values: list[tuple[int, int]] = []
     prev: int | None = None
     for m in range(m_min, m_max + 1):

@@ -337,6 +337,18 @@ class TestSeededSearch:
             assert _search(n, t.bits, known)[:2] == (line, order), (t, known)
             assert _search(n, t.bits, full)[:2] == (line, order), (t, full)
 
+    def test_planted_odd_automorphisms_against_oracles(self):
+        # random codes are mostly rigid; a planted sigma makes nearly every
+        # input here branch with a nontrivial group, so the orbit skip and
+        # the abandoned kids decide |Aut|
+        rng = random.Random(13)
+        for trial in range(600):
+            t, sigma = with_odd_automorphism(7 + trial % 6, rng)
+            line, order = _search(t.n, t.bits)[:2]
+            assert line == beam_canon_line(t), t
+            assert order == backtrack_automorphism_order(t), t
+            assert _search(t.n, t.bits, [sigma])[:2] == (line, order), (t, sigma)
+
     @pytest.mark.parametrize(
         "build, order",
         [(lambda k=k: make_T((3,) * k), 3**k) for k in range(1, 9)]

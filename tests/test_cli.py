@@ -242,6 +242,70 @@ def test_verify_bad_parameter_is_usage_error(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["L111", "--m-max", "1"], ["L-I1zero", "--n-max", "4", "--m-max", "1"]],
+    ids=["L111", "L-I1zero"],
+)
+def test_verify_m_max_below_first_host_names_the_cause(capsys, argv):
+    # n = 4 needs hosts of at least ceil(4/3) = 2 layers
+    code, out, err = _run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == ""
+    assert "below the first host size" in err and "m_max = 1" in err
+    assert "n = 4" in err and "missing family parameters" not in err
+
+
+@pytest.mark.parametrize("argv", [["gen", "T"], ["gen", "M", "1,0,0"]])
+def test_gen_missing_parameters_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "missing family parameters" in err
+
+
+def test_internal_index_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(lemma_id, **params):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(tourneykit.cli.verify_mod, "run_lemma", broken)
+    with pytest.raises(IndexError):
+        run(["verify", "L111"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["canon", "--csv", "f.trn"], ["aut", "--json", "f.trn"], ["iso", "--csv", "a", "b"]],
+    ids=["canon-csv", "aut-json", "iso-csv"],
+)
+def test_output_flags_a_verb_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cyclic", "--n", "4"], ["--flags", "1,1,1", "--n", "5", "--m", "3"]],
+    ids=["cyclic", "flags-m"],
+)
+def test_subcount_csv_without_scan_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, ["subcount", *argv, "--csv"])
+    assert code == 2
+    assert out == ""
+    assert "--csv needs --scan" in err
+
+
+def test_subcount_scan_csv(capsys):
+    code, out, _ = _run(
+        capsys, ["subcount", "--flags", "1,1,1", "--n", "5", "--scan", "8", "--csv"]
+    )
+    assert code == 0
+    head, *rows = out.splitlines()
+    assert head == "m,count" and rows[-1].endswith(",4")
+
+
 def test_unknown_verb_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
