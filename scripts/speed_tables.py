@@ -31,6 +31,8 @@ def main() -> None:
     parser.add_argument("--forms", action="store_true", help="dump JSON with forms")
     args = parser.parse_args()
     n_max = args.n_max
+    if n_max < 1:
+        parser.error(f"--n-max must be at least 1, got {n_max}")
 
     tables = [
         ("stacked-1/3-blocks", t_family_table(n_max + 3, n_max)),

@@ -12,6 +12,11 @@ cell the still-free ordering puts v's in-neighbours (bit 0) before its
 out-neighbours (bit 1), which both minimises the row and commits a cell
 split.  Only the first cell's vertices that realise the minimal row are
 children of a node, so every leaf whose line is lex-min is in the tree.
+A row is one 0...01...1 segment per cell, of fixed width, so rows
+compare as the vectors of out-counts per cell: the children are found by
+narrowing the first cell one cell's count at a time, and only they get a
+row and a refined partition.  The search runs on out-masks, which the
+deletion closure derives for each child from its parent's.
 
 The tree is walked depth first with an explicit stack of branch points,
 the nodes with more than one tied child (no recursion), pruned in two
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .tournament import Tournament, line_to_bits
+from .tournament import Tournament, bits_to_out_masks, line_to_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import StructureWitness
@@ -80,7 +85,7 @@ def canonical_line(n: int, bits: int) -> str:
     For callers whose inputs rarely repeat, such as the extension BFS's
     survivors, which would only fill the cache behind canonical_form.
     """
-    return _search(n, bits)[0]
+    return _search(bits_to_out_masks(n, bits))[0]
 
 
 _canon_line = lru_cache(maxsize=1 << 17)(canonical_line)
@@ -92,23 +97,23 @@ def automorphism_order(t: Tournament) -> int:
     Counted by the canonical search as the leaves attaining the canonical
     line.
     """
-    return _search(t.n, t.bits)[1]
+    return _search(t.out_masks)[1]
 
 
 def canonical_line_and_automorphisms(
-    n: int, bits: int, known: Sequence[Sequence[int]] = ()
+    out: Sequence[int], known: Sequence[Sequence[int]] = ()
 ) -> tuple[str, list[tuple[int, ...]]]:
-    """Canonical line of the tournament (n, bits) and automorphisms of its
-    canonical representative.
+    """Canonical line of the tournament with out-masks ``out`` and
+    automorphisms of its canonical representative.
 
-    ``known`` holds automorphisms of (n, bits) the caller already has, each
-    as the tuple of vertex images; they prune the search and leave the line
-    unchanged.  The automorphisms returned, the known ones among them, are
-    written in the canonical labelling (vertex i is the i-th vertex of the
-    line) and generate the automorphism group.
+    ``known`` holds automorphisms of the tournament the caller already
+    has, each as the tuple of vertex images; they prune the search and
+    leave the line unchanged.  The automorphisms returned, the known ones
+    among them, are written in the canonical labelling (vertex i is the
+    i-th vertex of the line) and generate the automorphism group.
     """
-    line, _, labelling, autos = _search(n, bits, known)
-    pos = [0] * n
+    line, _, labelling, autos = _search(out, known)
+    pos = [0] * len(out)
     for i, x in enumerate(labelling):
         pos[x] = i
     gens = dict.fromkeys(tuple([pos[g[x]] for x in labelling]) for g, _ in autos)
@@ -132,44 +137,78 @@ def orbit_mask(start: int, gens: Sequence[Sequence[int]]) -> int:
 
 
 def _expand(
-    out: tuple[int, ...], cells: tuple[int, ...]
+    out: Sequence[int], cells: tuple[int, ...]
 ) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
     """Minimal next row over the first cell's vertices, and each vertex
-    attaining it with the refined partition of the vertices left."""
+    attaining it, in ascending order, with the refined partition of the
+    vertices left.
+
+    A vertex's row is one 0...01...1 segment per cell (the first less the
+    vertex) of fixed width, so rows compare as the vectors of the vertex's
+    out-counts per cell.  The first cell's vertices are narrowed one cell
+    at a time to those of least count, stopping once one is left; the row
+    is built for the first survivor and the partitions for the survivors.
+    """
     first = cells[0]
     rest = cells[1:]
-    best = None
-    kids: list[tuple[int, tuple[int, ...]]] = []
+    least = first.bit_count()
+    cand: list[int] = []
     m = first
     while m:
         vbit = m & -m
         m ^= vbit
         v = vbit.bit_length() - 1
+        c = (first & out[v]).bit_count()
+        if c < least:
+            least = c
+            cand = [v]
+        elif c == least:
+            cand.append(v)
+    if len(cand) > 1:
+        for cell in rest:
+            least = cell.bit_count() + 1
+            keep: list[int] = []
+            for v in cand:
+                c = (cell & out[v]).bit_count()
+                if c < least:
+                    least = c
+                    keep = [v]
+                elif c == least:
+                    keep.append(v)
+            cand = keep
+            if len(cand) == 1:
+                break
+    row = 0
+    kids: list[tuple[int, tuple[int, ...]]] = []
+    for v in cand:
         ov = out[v]
-        # the first cell less v is split here rather than as a tuple
-        # (first ^ vbit, *rest), which would be built once per candidate
         op = first & ov
-        ip = first ^ vbit ^ op
-        row = (1 << op.bit_count()) - 1
+        ip = first ^ (1 << v) ^ op
         split = []
         if ip:
             split.append(ip)
         if op:
             split.append(op)
-        for cell in rest:
-            op = cell & ov
-            ip = cell ^ op
-            row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
-            if ip:
-                split.append(ip)
-            if op:
-                split.append(op)
-        if best is None or row < best:
-            best = row
-            kids = [(v, tuple(split))]
-        elif row == best:
-            kids.append((v, tuple(split)))
-    return best, kids
+        if kids:
+            for cell in rest:
+                op = cell & ov
+                ip = cell ^ op
+                if ip:
+                    split.append(ip)
+                if op:
+                    split.append(op)
+        else:  # the first survivor also spells the row
+            row = (1 << op.bit_count()) - 1
+            for cell in rest:
+                op = cell & ov
+                ip = cell ^ op
+                row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
+                if ip:
+                    split.append(ip)
+                if op:
+                    split.append(op)
+        kids.append((v, tuple(split)))
+    return row, kids
 
 
 def _find(uf: list[int], x: int) -> int:
@@ -229,14 +268,15 @@ def _fixed_points(g: Sequence[int]) -> int:
 
 
 def _search(
-    n: int, bits: int, known: Sequence[Sequence[int]] = ()
+    out: Sequence[int], known: Sequence[Sequence[int]] = ()
 ) -> tuple[str, int, list[int], list[tuple[Sequence[int], int]]]:
     """Lex-min line, automorphism count, canonical labelling (the best
-    leaf's path) and automorphisms of the tournament (n, bits), each as
-    (images, mask of fixed points): the known ones, then those found."""
+    leaf's path) and automorphisms of the tournament with out-masks
+    ``out``, each as (images, mask of fixed points): the known ones, then
+    those found."""
+    n = len(out)
     if n <= 1:
         return "", 1, list(range(n)), []
-    out = Tournament(n, bits).out_masks
     last = n - 2  # depth of the final row; one vertex is left after it
     path: list[int] = []  # vertices placed so far
     rows: list[int] = []  # their rows

@@ -10,7 +10,9 @@ Two enumeration strategies back the speed tables:
   search.  Only one vertex per orbit of those automorphisms is deleted,
   since t - v and t - g(v) are isomorphic.  Each child's search is handed
   the automorphisms that fix the deleted vertex, which restrict to
-  automorphisms of the child, so it need not rediscover them.
+  automorphisms of the child, so it need not rediscover them.  The
+  search runs on out-masks: each kept class's are built once from its
+  line, and each child's are derived from its parent's.
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -61,6 +63,8 @@ from .tournament import (
     InfeasibleSizeError,
     Tournament,
     _delete_bits,
+    _delete_out,
+    bits_to_out_masks,
     concat,
     line_to_bits,
     pair_count,
@@ -166,7 +170,9 @@ def hereditary_closure(
     levels: dict[int, dict[str, list[tuple[int, ...]]]] = {}
     budget = _Budget(mem_budget, "closure")
     for s in seeds:
-        line, gens = canonical_line_and_automorphisms(s.n, s.bits)
+        # decoded afresh, not cached on the caller's seeds, which may outlive
+        # the closure
+        line, gens = canonical_line_and_automorphisms(bits_to_out_masks(s.n, s.bits))
         bucket = levels.setdefault(s.n, {})
         if line not in bucket:
             bucket[line] = gens
@@ -181,6 +187,7 @@ def hereditary_closure(
         built: set[int] = set()  # labelled children already canonicalised
         for line in sorted(cur):
             bits = line_to_bits(line)
+            out = bits_to_out_masks(size, bits)  # each child's is derived from it
             gens = cur[line]
             left = (1 << size) - 1
             while left:
@@ -198,7 +205,9 @@ def hereditary_closure(
                     for g in gens
                     if g[v] == v
                 ]
-                cl, cgens = canonical_line_and_automorphisms(size - 1, sub, known)
+                cl, cgens = canonical_line_and_automorphisms(
+                    _delete_out(out, v), known
+                )
                 if cl not in child:
                     child[cl] = cgens
                     budget.charge(cl, size - 1, len(child))
@@ -372,12 +381,13 @@ def avoidance_closure(
             survivors = np.flatnonzero(wanted)
             wanted[survivors] = _least_invariant_masks(base, survivors)
             keep = wanted.tolist()
+            out = base.out_masks
             for mask in range(1 << k):
                 # extensions left out are built too: perfbench's traced run
                 # checks from_beats calls against the extensions tried
                 ext = Tournament.from_beats(
                     k + 1,
-                    lambda i, j, o=base.out_masks, m=mask, kk=k: (
+                    lambda i, j, o=out, m=mask, kk=k: (
                         (o[i] >> j) & 1 if j < kk else not ((m >> i) & 1)
                     ),
                 )

@@ -58,6 +58,38 @@ def _delete_bits(n: int, bits: int, v: int) -> int:
     return out | (bits >> (n - 1 - v)) << shift
 
 
+def bits_to_out_masks(n: int, bits: int) -> tuple[int, ...]:
+    """Per-vertex bitmask of the vertices each vertex beats, decoded from
+    the packed pair bits of an n-vertex tournament."""
+    out = [0] * n
+    for i in range(n - 1):
+        # row i holds the pairs (i, i+1), ..., (i, n-1), lowest first
+        width = n - 1 - i
+        full = (1 << width) - 1
+        row = bits & full
+        bits >>= width
+        out[i] |= row << (i + 1)
+        lost = row ^ full
+        while lost:
+            low = lost & -lost
+            lost ^= low
+            out[i + low.bit_length()] |= 1 << i
+    return tuple(out)
+
+
+def _delete_out(out: Sequence[int], v: int) -> tuple[int, ...]:
+    """Out-masks of the tournament with out-masks ``out`` less vertex v,
+    the others relabelled in order.  Unchecked: 0 <= v < len(out) is
+    assumed.
+
+    Each row but v's keeps its bits below v and shifts those above v
+    down by one, dropping bit v."""
+    below = (1 << v) - 1
+    return tuple(
+        [(o & below) | ((o >> 1) & ~below) for i, o in enumerate(out) if i != v]
+    )
+
+
 def line_to_bits(line: str) -> int:
     """Parse a .trn body line into packed pair bits."""
     bits = 0
@@ -117,22 +149,7 @@ class Tournament:
     def out_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of beaten vertices (computed once, cached)."""
         if self._out is None:
-            n = self.n
-            out = [0] * n
-            bits = self.bits
-            for i in range(n - 1):
-                # row i holds the pairs (i, i+1), ..., (i, n-1), lowest first
-                width = n - 1 - i
-                full = (1 << width) - 1
-                row = bits & full
-                bits >>= width
-                out[i] |= row << (i + 1)
-                lost = row ^ full
-                while lost:
-                    low = lost & -lost
-                    lost ^= low
-                    out[i + low.bit_length()] |= 1 << i
-            self._out = tuple(out)
+            self._out = bits_to_out_masks(self.n, self.bits)
         return self._out
 
     def beats(self, u: int, v: int) -> bool:
@@ -190,12 +207,24 @@ class Tournament:
 
     def relabel(self, perm: Sequence[int]) -> "Tournament":
         """Apply a vertex relabelling: vertex i becomes perm[i]."""
-        if sorted(perm) != list(range(self.n)):
+        n = self.n
+        if sorted(perm) != list(range(n)):
             raise ValueError("relabelling must be a permutation of 0..n-1")
-        inv = [0] * self.n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        return Tournament.from_beats(self.n, lambda i, j: self.beats(inv[i], inv[j]))
+        out = [0] * n
+        for i, o in enumerate(self.out_masks):
+            image = 0
+            while o:
+                low = o & -o
+                o ^= low
+                image |= 1 << perm[low.bit_length() - 1]
+            out[perm[i]] = image
+        # row i of the pair bits is out-mask i above bit i
+        bits = 0
+        shift = 0
+        for i in range(n - 1):
+            bits |= (out[i] >> (i + 1)) << shift
+            shift += n - 1 - i
+        return Tournament(n, bits)
 
     def reverse(self) -> "Tournament":
         """Flip every edge."""

@@ -10,6 +10,8 @@ subset), the reference for the extension BFS's per-base test.
 ``beam_canon_line`` is the breadth-first canonical search that keeps every
 branch attaining the minimal row, the reference for the pruned depth-first
 search; ``pair_out_masks`` is the per-pair decode of the pair bits.
+``reference_expand`` expands a node of that search by building every
+first-cell vertex's full row, the reference for the narrowing expansion.
 ``unfiltered_avoidance_forms`` is the extension BFS without the
 least-out-degree filter: it canonicalises every extension the per-base
 pattern test lets through.  ``cycle_index_tournament_count`` and
@@ -310,6 +312,47 @@ def beam_canon_line(t: Tournament) -> str:
         states = nxt
         pieces.append(format(best, f"0{width}b"))
     return "".join(pieces)
+
+
+def reference_expand(
+    out: tuple[int, ...], cells: tuple[int, ...]
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """The canonical search's node expansion with every candidate's full
+    row: the minimal next row over the first cell's vertices, and each
+    vertex attaining it, in ascending order, with the refined partition
+    of the vertices left."""
+    first = cells[0]
+    rest = cells[1:]
+    best = None
+    kids: list[tuple[int, tuple[int, ...]]] = []
+    m = first
+    while m:
+        vbit = m & -m
+        m ^= vbit
+        v = vbit.bit_length() - 1
+        ov = out[v]
+        op = first & ov
+        ip = first ^ vbit ^ op
+        row = (1 << op.bit_count()) - 1
+        split = []
+        if ip:
+            split.append(ip)
+        if op:
+            split.append(op)
+        for cell in rest:
+            op = cell & ov
+            ip = cell ^ op
+            row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
+            if ip:
+                split.append(ip)
+            if op:
+                split.append(op)
+        if best is None or row < best:
+            best = row
+            kids = [(v, tuple(split))]
+        elif row == best:
+            kids.append((v, tuple(split)))
+    return best, kids
 
 
 def unfiltered_avoidance_forms(

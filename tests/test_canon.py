@@ -18,6 +18,7 @@ from oracles import (
     brute_first_embedding,
     brute_isomorphic,
     perm_images,
+    reference_expand,
     relabellings,
 )
 from tourneykit import (
@@ -33,7 +34,8 @@ from tourneykit import (
     pair_count,
     random_tournament,
 )
-from tourneykit.canon import _search, canonical_line_and_automorphisms
+from tourneykit import canon
+from tourneykit.canon import _expand, _search, canonical_line_and_automorphisms
 from tourneykit.tournament import line_to_bits
 
 
@@ -205,6 +207,59 @@ class TestAgainstBeamSearch:
             assert canonical_form(relabelled(t, seed)).bits == want
 
 
+class TestExpand:
+    """The narrowing node expansion against the full-row reference: the
+    same minimal row and the same tied kids in the same order."""
+
+    def test_random_ordered_partitions(self):
+        rng = random.Random(14)
+        for trial in range(4000):
+            n = rng.randrange(1, 13)
+            if trial % 2:  # symmetric inputs tie on many cells
+                t, _ = with_odd_automorphism(n, rng)
+            else:
+                t = random_tournament(n, rng)
+            vs = [v for v in range(n) if rng.random() < 0.8] or [rng.randrange(n)]
+            rng.shuffle(vs)
+            cells = []
+            while vs:
+                k = rng.randrange(1, len(vs) + 1)
+                cells.append(sum(1 << v for v in vs[:k]))
+                vs = vs[k:]
+            cells = tuple(cells)
+            want = reference_expand(t.out_masks, cells)
+            assert _expand(t.out_masks, cells) == want, (t, cells)
+
+    @pytest.mark.parametrize(
+        "build, symmetric",
+        [
+            (lambda: make_T((3,) * 6), True),
+            (lambda: paley(11), True),
+            (lambda: paley(23), True),
+            (lambda: make_moon_tower(2), True),
+            (lambda: random_tournament(24, 7), False),
+            (lambda: random_tournament(24, 8), False),
+        ],
+        ids=["T3x6", "paley11", "paley23", "moon2", "random24a", "random24b"],
+    )
+    def test_every_node_of_a_search(self, build, symmetric, monkeypatch):
+        kids = []
+
+        def checked(out, cells):
+            got = _expand(out, cells)
+            assert got == reference_expand(out, cells), (out, cells)
+            kids.append(len(got[1]))
+            return got
+
+        monkeypatch.setattr(canon, "_expand", checked)
+        for seed in range(3):
+            t = relabelled(build(), seed)
+            canon.canonical_line(t.n, t.bits)
+        assert kids
+        if symmetric:  # automorphisms tie whole rows
+            assert max(kids) > 1
+
+
 class TestIsomorphism:
     def test_relabelled_copy(self):
         t = random_tournament(7, 5)
@@ -308,8 +363,9 @@ class TestSeededSearch:
                         continue
                     done.add(img)
                     known = [conjugate(g, p) for g in group]
-                    line, order = _search(n, img)[:2]
-                    assert _search(n, img, known)[:2] == (line, order), (n, img)
+                    out = Tournament(n, img).out_masks
+                    line, order = _search(out)[:2]
+                    assert _search(out, known)[:2] == (line, order), (n, img)
                     assert order == len(group)
                     if n <= 5:
                         assert order == brute_automorphism_order(n, img)
@@ -323,7 +379,7 @@ class TestSeededSearch:
                 full = [sigma]
             else:
                 t, full = random_tournament(n, rng), []
-            line, order, _, autos = _search(n, t.bits)
+            line, order, _, autos = _search(t.out_masks)
             full += [tuple(g) for g, _ in autos]
             for g in full:
                 assert t.relabel(list(g)) == t
@@ -334,8 +390,33 @@ class TestSeededSearch:
                 for _ in range(rng.randrange(1, 4)):
                     word = compose(rng.choice(pool), word)
                 known.append(word)
-            assert _search(n, t.bits, known)[:2] == (line, order), (t, known)
-            assert _search(n, t.bits, full)[:2] == (line, order), (t, full)
+            assert _search(t.out_masks, known)[:2] == (line, order), (t, known)
+            assert _search(t.out_masks, full)[:2] == (line, order), (t, full)
+
+    def test_matches_the_full_row_search(self, monkeypatch):
+        # line, |Aut|, labelling and automorphisms equal those of the same
+        # walk expanding each node by full rows, with and without known
+        # automorphisms; the labelling spells the line
+        rng = random.Random(15)
+        cases = [(relabelled(make_T((3,) * 4), 1), []), (relabelled(paley(11), 2), [])]
+        for trial in range(400):
+            n = rng.randrange(2, 13)
+            if trial % 2:
+                t, sigma = with_odd_automorphism(n, rng)
+                cases.append((t, [sigma]))
+            else:
+                cases.append((random_tournament(n, rng), []))
+        got = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
+        monkeypatch.setattr(canon, "_expand", reference_expand)
+        want = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
+        assert got == want
+        for (t, _), (plain, seeded) in zip(cases, got):
+            line, _, labelling, _ = plain
+            assert seeded[:3] == plain[:3], t
+            pos = [0] * t.n
+            for i, x in enumerate(labelling):
+                pos[x] = i
+            assert t.relabel(pos).body_line() == line, t
 
     def test_planted_odd_automorphisms_against_oracles(self):
         # random codes are mostly rigid; a planted sigma makes nearly every
@@ -344,10 +425,10 @@ class TestSeededSearch:
         rng = random.Random(13)
         for trial in range(600):
             t, sigma = with_odd_automorphism(7 + trial % 6, rng)
-            line, order = _search(t.n, t.bits)[:2]
+            line, order = _search(t.out_masks)[:2]
             assert line == beam_canon_line(t), t
             assert order == backtrack_automorphism_order(t), t
-            assert _search(t.n, t.bits, [sigma])[:2] == (line, order), (t, sigma)
+            assert _search(t.out_masks, [sigma])[:2] == (line, order), (t, sigma)
 
     @pytest.mark.parametrize(
         "build, order",
@@ -364,7 +445,7 @@ class TestSeededSearch:
     )
     def test_symmetric_families(self, build, order):
         t = relabelled(build(), 5)
-        line, gens = canonical_line_and_automorphisms(t.n, t.bits)
+        line, gens = canonical_line_and_automorphisms(t.out_masks)
         assert line == canonical_form(t).bits
         rep = Tournament(t.n, line_to_bits(line))
         for g in gens:
@@ -378,14 +459,14 @@ class TestSeededSearch:
             copy = rep.relabel(p)
             moved = [conjugate(g, p) for g in gens]
             for known in (moved, moved[:1], rng.sample(moved, len(moved) // 2)):
-                assert _search(t.n, copy.bits, known)[:2] == (line, order)
+                assert _search(copy.out_masks, known)[:2] == (line, order)
 
     def test_generators_generate_the_group_up_to_six_vertices(self, classes_by_n):
         for n, members in classes_by_n.items():
             if n > 6:
                 continue
             for t in members:
-                _, gens = canonical_line_and_automorphisms(n, t.bits)
+                _, gens = canonical_line_and_automorphisms(t.out_masks)
                 assert group_order(gens, n) == automorphism_order(t), t
 
 

@@ -17,7 +17,7 @@ from tourneykit import (
     random_tournament,
     read_edge_list,
 )
-from tourneykit.tournament import _delete_bits
+from tourneykit.tournament import _delete_bits, _delete_out
 
 
 def tournaments(max_n=8):
@@ -108,6 +108,15 @@ class TestInduced:
                     rest = [u for u in range(n) if u != v]
                     assert _delete_bits(n, t.bits, v) == t.induced(rest).bits, (t, v)
 
+    def test_delete_out_matches_delete_bits(self):
+        rng = random.Random(6)
+        for n in range(1, 25):
+            for _ in range(8):
+                t = random_tournament(n, rng)
+                for v in range(n):
+                    want = Tournament(n - 1, _delete_bits(n, t.bits, v)).out_masks
+                    assert _delete_out(t.out_masks, v) == want, (t, v)
+
     def test_delete_checks_its_vertex(self):
         assert transitive(4).delete(2) == transitive(3)
         for v in (-1, 4):
@@ -127,6 +136,25 @@ class TestInduced:
         via_two = t.induced(outer).induced(inner_idx)
         composed = t.induced([outer[i] for i in inner_idx])
         assert via_two == composed
+
+
+class TestRelabel:
+    def test_matches_predicate_relabelling(self):
+        rng = random.Random(21)
+        for n in range(31):
+            for _ in range(4):
+                t = random_tournament(n, rng)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                inv = [0] * n
+                for i, p in enumerate(perm):
+                    inv[p] = i
+                want = Tournament.from_beats(n, lambda i, j: t.beats(inv[i], inv[j]))
+                assert t.relabel(perm) == want, (t, perm)
+
+    def test_rejects_non_permutation(self):
+        with pytest.raises(ValueError):
+            make_cyclic(3).relabel([0, 0, 1])
 
 
 class TestDegreesAndPredicates:
