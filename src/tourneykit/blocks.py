@@ -230,27 +230,22 @@ def _mask(vertices: Iterable[int]) -> int:
     return m
 
 
-def estimate_k(
-    table: "SpeedTable",
-    n: int,
-    threshold=None,
-) -> int:
+def estimate_k(table: "SpeedTable", n: int) -> int:
     """Finite-scale estimate of the polynomial-speed exponent.
 
     Scans ell = 0, 1, ... while some member at level n has its (ell+1)-st
-    largest homogeneous block of size >= threshold(n, ell) (default
-    ceil(n / (ell + 2))), and returns the last passing ell.  The scan
-    stops at the first failure: for larger ell the default threshold
-    bottoms out at 1, which any member with many singleton blocks would
-    meet vacuously.  This is a heuristic estimate from finite data, never
-    a certificate.
+    largest homogeneous block of size >= ceil(n / (ell + 2)), and returns
+    the last passing ell.  The scan stops at the first failure: for
+    larger ell the threshold bottoms out at 1, which any member with many
+    singleton blocks would meet vacuously.  This is a heuristic estimate
+    from finite data, never a certificate.
     """
     if not table.count(n):
         raise ValueError(f"speed table has no members at level {n}")
     seqs = [decompose(t).sequence for t in table.members(n)]
     best = 0
     for ell in range(n):
-        need = threshold(n, ell) if threshold else math.ceil(n / (ell + 2))
+        need = math.ceil(n / (ell + 2))
         reach = max((s[ell] if len(s) > ell else 0) for s in seqs)
         if reach < need:
             break

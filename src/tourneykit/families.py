@@ -12,6 +12,8 @@ from typing import Iterable, Sequence
 
 from .tournament import Tournament
 
+MAX_TOWER_VERTICES = 243
+
 
 class FamilyMembershipError(ValueError):
     """Input tournament is not a member of the family being inverted."""
@@ -304,14 +306,14 @@ def make_type1(k: int, flavor: int) -> Tournament:
     return Tournament.from_beats(nn + 1, beats)
 
 
-def make_moon_tower(level: int, max_vertices: int = 243) -> Tournament:
+def make_moon_tower(level: int) -> Tournament:
     """Recursive triple tower: level 1 is the cyclic triangle; each next
     level cycles three copies of the previous one (U -> V -> W -> U)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if 3**level > max_vertices:
+    if 3**level > MAX_TOWER_VERTICES:
         raise ValueError(
-            f"tower on {3 ** level} vertices exceeds max_vertices={max_vertices}"
+            f"tower on {3 ** level} vertices exceeds the bound {MAX_TOWER_VERTICES}"
         )
     cur = make_T((3,))
     for _ in range(level - 1):

@@ -25,15 +25,14 @@ Two enumeration strategies back the speed tables:
   codes, and rejects the orientations that spell a forbidden one.  Of
   the survivors, only those whose new vertex is lex-least under
   (out-degree, sum of its out-neighbours' out-degrees), ties included,
-  are canonicalised: the out-degree is tested on all 2^k masks, the sum
-  only on the masks that pass it and the pattern test.  No class is
-  lost: a member C on k+1 vertices minus a lex-least vertex w is a
-  member (the property is hereditary), so C is rebuilt from the
-  canonical base of C - w with w as the new vertex, and that extension
-  passes, since an isomorphism keeps any vertex invariant.  The dedup
-  set absorbs the classes reached more than once.  The survivors rarely
-  repeat, so each gets a fresh search rather than a slot in
-  canonical_form's cache.
+  are canonicalised; one numpy pass over the masks the pattern test
+  keeps decides the whole condition.  No class is lost: a member C on
+  k+1 vertices minus a lex-least vertex w is a member (the property is
+  hereditary), so C is rebuilt from the canonical base of C - w with w
+  as the new vertex, and that extension passes, since an isomorphism
+  keeps any vertex invariant.  The dedup set absorbs the classes reached
+  more than once.  The survivors rarely repeat, so each gets a fresh
+  search rather than a slot in canonical_form's cache.
 
 Counting the n-vertex sub-tournament classes of one big host
 (distinct_sub_classes) enumerates n-subsets directly with canonical
@@ -71,9 +70,9 @@ from .tournament import (
     pair_index,
 )
 
-DEFAULT_SEED_BOUND = 36
+SEED_BOUND = 36
 DEFAULT_MEM_BUDGET = 2 * 1024**3
-DEFAULT_PAIR_BUDGET = 200_000_000
+PAIR_BUDGET = 200_000_000
 _FORM_OVERHEAD = 64  # rough per-entry bookkeeping bytes for budget checks
 
 
@@ -154,7 +153,6 @@ def hereditary_closure(
     seeds: Sequence[Tournament],
     n_max: int,
     *,
-    max_seed_size: int = DEFAULT_SEED_BOUND,
     mem_budget: int = DEFAULT_MEM_BUDGET,
     seed_description: str | None = None,
 ) -> SpeedTable:
@@ -162,9 +160,9 @@ def hereditary_closure(
     if not seeds:
         raise ValueError("need at least one seed tournament")
     for s in seeds:
-        if s.n > max_seed_size:
+        if s.n > SEED_BOUND:
             raise InfeasibleSizeError(
-                f"seed on {s.n} vertices exceeds the bound {max_seed_size}"
+                f"seed on {s.n} vertices exceeds the bound {SEED_BOUND}"
             )
     # level -> canonical line -> automorphisms of its representative
     levels: dict[int, dict[str, list[tuple[int, ...]]]] = {}
@@ -306,44 +304,30 @@ def _rejected_masks(
     return rejected
 
 
-def _least_degree_masks(base: Tournament) -> np.ndarray:
-    """Which of the 2^k one-vertex extensions of a k-vertex base give the
-    new vertex k the least out-degree (ties included).
-
-    Bit i of an extension mask is set when k -> i, so k has out-degree
-    popcount(mask) and base vertex i has deg_base(i) + 1 - bit_i(mask).
-    """
-    masks = np.arange(1 << base.n)
-    new_degree = np.zeros_like(masks)
-    least = np.full_like(masks, base.n)
-    for i, o in enumerate(base.out_masks):
-        bit = (masks >> i) & 1
-        new_degree += bit
-        np.minimum(least, o.bit_count() + 1 - bit, out=least)
-    return new_degree <= least
-
-
 def _least_invariant_masks(base: Tournament, masks: np.ndarray) -> np.ndarray:
-    """Which of the given extension masks, each of which gives the new
-    vertex k the least out-degree, also give it the least sum of its
-    out-neighbours' out-degrees among the vertices of least out-degree
-    (ties included).
+    """Which of the given one-vertex extension masks of a k-vertex base
+    make the new vertex k lex-least under (out-degree, sum of its
+    out-neighbours' out-degrees), ties included.
 
-    In the extension by mask m, k beats the base vertices i with bit i of
-    m set, whose out-degree is deg_base(i); base vertex i beats its base
-    out-neighbours j, of out-degree deg_base(j) + 1 - bit_j(m), and beats
-    k when bit i is clear.
+    Bit i of an extension mask m is set when k -> i.  In that extension k
+    has out-degree D = popcount(m) and beats the base vertices i with bit
+    i set, whose out-degrees deg_base(i) sum to S; base vertex i has
+    out-degree deg_base(i) + 1 - bit_i(m), beats its base out-neighbours
+    j, of out-degree deg_base(j) + 1 - bit_j(m), and beats k when bit i
+    is clear.  k passes when every base vertex has a greater out-degree
+    than D, or out-degree D and a sum of at least S.
     """
     k = base.n
-    span = np.arange(k)
-    adj = ((np.array(base.out_masks)[:, None] >> span) & 1).astype(np.int16)
+    adj = _adjacency(base, k).astype(np.int16)
     deg = adj.sum(axis=1)
-    bits = ((masks[:, None] >> span) & 1).astype(np.int16)
+    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.int16)
     new_degree = bits.sum(axis=1)[:, None]
     new_sum = (bits @ deg)[:, None]
     degree = deg + 1 - bits
     sums = adj @ (deg + 1) - bits @ adj.T + (1 - bits) * new_degree
-    return ((degree != new_degree) | (sums >= new_sum)).all(axis=1)
+    return (
+        (degree > new_degree) | ((degree == new_degree) & (sums >= new_sum))
+    ).all(axis=1)
 
 
 def avoidance_closure(
@@ -356,20 +340,20 @@ def avoidance_closure(
     """Extension BFS over the property of tournaments with no forbidden
     induced sub-tournament.  A new vertex is appended with every possible
     orientation; one test per base decides which extensions contain a
-    pattern through the new vertex; of the others, only those whose new
-    vertex is lex-least under (out-degree, sum of its out-neighbours'
-    out-degrees) are canonicalised, each by a fresh search: the survivors
-    rarely repeat, so they bypass canonical_form's cache."""
-    forb: dict[int, set[str]] = {}
+    pattern through the new vertex; of the others, one pass picks those
+    whose new vertex is lex-least under (out-degree, sum of its
+    out-neighbours' out-degrees), ties included, and only those are
+    canonicalised, each by a fresh search: the survivors rarely repeat,
+    so they bypass canonical_form's cache."""
+    forb: dict[int, frozenset[str]] = {}
     for h in forbidden:
         if h.n < 1:
             raise ValueError("forbidden patterns must have at least one vertex")
-        forb.setdefault(h.n, set()).add(canonical_form(h).bits)
-    forb_frozen = {size: frozenset(v) for size, v in forb.items()}
+        forb[h.n] = forb.get(h.n, frozenset()) | {canonical_form(h).bits}
 
     budget = _Budget(mem_budget, "avoidance closure")
     levels: dict[int, set[str]] = {1: set()}
-    if 1 not in forb_frozen:
+    if 1 not in forb:
         single = canonical_form(Tournament(1, 0)).bits
         levels[1].add(single)
         budget.charge(single, 1, 1)
@@ -377,7 +361,7 @@ def avoidance_closure(
         nxt: set[str] = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
-            wanted = _least_degree_masks(base) & ~_rejected_masks(base, forb_frozen)
+            wanted = ~_rejected_masks(base, forb)
             survivors = np.flatnonzero(wanted)
             wanted[survivors] = _least_invariant_masks(base, survivors)
             keep = wanted.tolist()
@@ -420,12 +404,7 @@ def fstar(n: int) -> int:
     return c
 
 
-def distinct_sub_classes(
-    host: Tournament,
-    k: int,
-    *,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> tuple[str, ...]:
+def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
     """Sorted canonical lines of the k-vertex induced sub-tournaments.
 
     Enumerates the C(n, k) subsets in chunks, extracts each induced
@@ -440,10 +419,10 @@ def distinct_sub_classes(
     if k <= 1:
         return ("",) if (k == 0 or n > 0) else ()
     cost = comb(n, k) * comb(k, 2)
-    if cost > pair_budget:
+    if cost > PAIR_BUDGET:
         raise InfeasibleSizeError(
             f"enumerating C({n},{k}) subsets needs ~{cost} pair extractions, "
-            f"over the budget of {pair_budget}"
+            f"over the budget of {PAIR_BUDGET}"
         )
     adj = _adjacency(host, n)
     codes_seen: set[int] = set()
@@ -459,18 +438,12 @@ def distinct_sub_classes(
     return tuple(sorted(lines))
 
 
-def count_sub_L(
-    flags: FlagTriple | Sequence[int],
-    n: int,
-    m: int,
-    *,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-) -> int:
+def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
     """Number of distinct n-vertex sub-tournaments of the 3m-vertex layered
     flag tournament."""
     if 3 * m < n:
         raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
-    return len(distinct_sub_classes(make_M(flags, m), n, pair_budget=pair_budget))
+    return len(distinct_sub_classes(make_M(flags, m), n))
 
 
 def count_sub_L_scan(
@@ -478,7 +451,6 @@ def count_sub_L_scan(
     n: int,
     *,
     m_max: int = 12,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
 ) -> tuple[list[tuple[int, int]], int | None]:
     """Counts for m = ceil(n/3).., stopping at the first m whose count
     repeats the previous one (the stabilization point), or at m_max.
@@ -496,7 +468,7 @@ def count_sub_L_scan(
     values: list[tuple[int, int]] = []
     prev: int | None = None
     for m in range(m_min, m_max + 1):
-        c = count_sub_L(flags, n, m, pair_budget=pair_budget)
+        c = count_sub_L(flags, n, m)
         if prev is not None and c < prev:
             raise AssertionError(
                 f"sub-tournament count dropped from {prev} to {c} at m={m}"
@@ -508,11 +480,9 @@ def count_sub_L_scan(
     return values, None
 
 
-def count_cyclic_subs(
-    n: int, *, pair_budget: int = DEFAULT_PAIR_BUDGET
-) -> int:
+def count_cyclic_subs(n: int) -> int:
     """Distinct n-vertex sub-tournaments of the cyclic tournament on 2n."""
-    return len(distinct_sub_classes(make_cyclic(2 * n), n, pair_budget=pair_budget))
+    return len(distinct_sub_classes(make_cyclic(2 * n), n))
 
 
 def count_tn_lower(n: int) -> int:
@@ -596,7 +566,6 @@ class SupermultReport:
 def check_supermultiplicative(
     table: SpeedTable,
     *,
-    verify_witnesses: bool = True,
     forbidden: Sequence[Tournament] | None = None,
 ) -> SupermultReport:
     """count(m+n) >= count(m) * count(n) for all recorded m + n, with the
@@ -621,8 +590,6 @@ def check_supermultiplicative(
         for n in range(1, depth - m + 1):
             cm, cn, cmn = table.count(m), table.count(n), table.count(m + n)
             inequalities.append((m, n, cm * cn, cmn, cmn >= cm * cn))
-            if not verify_witnesses:
-                continue
             target = set(table.forms.get(m + n, ()))
             seen: dict[str, tuple[str, str]] = {}
             for l1 in table.forms.get(m, ()):

@@ -121,14 +121,12 @@ def max_transitive(t: Tournament) -> StructureWitness:
     return StructureWitness("transitive", chain)
 
 
-def detect_type1(
-    t: Tournament, k: int, k_bound: int = DETECT_K_BOUND
-) -> StructureWitness | None:
+def detect_type1(t: Tournament, k: int) -> StructureWitness | None:
     """First type-1 k-structure found, flavor A tried before flavor B."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > k_bound:
-        raise InfeasibleSizeError(f"detection limited to k <= {k_bound}")
+    if k > DETECT_K_BOUND:
+        raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
     for flavor, kind in ((1, "type1-flavorA"), (0, "type1-flavorB")):
         found = canon.contains_induced(t, make_type1(k, flavor))
         if found is not None:
@@ -136,9 +134,7 @@ def detect_type1(
     return None
 
 
-def detect_type2(
-    t: Tournament, k: int, k_bound: int = DETECT_K_BOUND
-) -> StructureWitness | None:
+def detect_type2(t: Tournament, k: int) -> StructureWitness | None:
     """First type-2 k-structure found (lexicographically least assignment).
 
     Chooses the transitive chain first (each new chain vertex taken from
@@ -147,8 +143,8 @@ def detect_type2(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > k_bound:
-        raise InfeasibleSizeError(f"detection limited to k <= {k_bound}")
+    if k > DETECT_K_BOUND:
+        raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
     n = t.n
     if 3 * k > n:
         return None

@@ -27,11 +27,7 @@ from tourneykit import (
     random_tournament,
 )
 from tourneykit.canon import _canon_line
-from tourneykit.speed import (
-    _least_degree_masks,
-    _least_invariant_masks,
-    _rejected_masks,
-)
+from tourneykit.speed import _least_invariant_masks, _rejected_masks
 
 C3 = make_T((3,))
 TT3 = make_T((1, 1, 1))
@@ -136,16 +132,6 @@ class TestLeastDegreeFilter:
     """Only extensions whose new vertex has the least out-degree are
     canonicalised; every class is still reached."""
 
-    def test_keeps_exactly_the_least_degree_extensions(self, classes_by_n):
-        for k in range(1, 6):
-            for base in classes_by_n[k] + [random_tournament(k, k)]:
-                expected = []
-                for mask in range(1 << k):
-                    ext = extension(base, mask)
-                    degrees = [o.bit_count() for o in pair_out_masks(ext)]
-                    expected.append(degrees[k] == min(degrees))
-                assert _least_degree_masks(base).tolist() == expected, base
-
     @pytest.mark.parametrize(
         "patterns", [[C4], [TT3], []], ids=["cyclic4", "transitive3", "none"]
     )
@@ -176,22 +162,16 @@ def lex_least_invariant(base):
     return expected
 
 
-def refined_masks(base):
-    """The least-out-degree masks, refined by the second invariant."""
-    wanted = _least_degree_masks(base)
-    survivors = np.flatnonzero(wanted)
-    wanted[survivors] = _least_invariant_masks(base, survivors)
-    return wanted.tolist()
-
-
 class TestLeastInvariantFilter:
-    """Of the least-out-degree extensions, only those whose new vertex also
-    has the least sum of out-neighbours' out-degrees are canonicalised."""
+    """Only extensions whose new vertex is lex-least under (out-degree, sum
+    of out-neighbours' out-degrees) are canonicalised; one pass over all
+    2^k masks decides both components."""
 
     def test_keeps_exactly_the_lex_least_extensions(self, classes_by_n):
         for k in range(1, 6):
             for base in classes_by_n[k] + [random_tournament(k, k)]:
-                assert refined_masks(base) == lex_least_invariant(base), base
+                got = _least_invariant_masks(base, np.arange(1 << k)).tolist()
+                assert got == lex_least_invariant(base), base
 
     @given(
         st.integers(6, 8).flatmap(lambda n: st.integers(0, 2**32).map(
@@ -200,7 +180,8 @@ class TestLeastInvariantFilter:
     )
     @settings(max_examples=20, deadline=None)
     def test_keeps_exactly_the_lex_least_extensions_on_random_bases(self, base):
-        assert refined_masks(base) == lex_least_invariant(base)
+        got = _least_invariant_masks(base, np.arange(1 << base.n)).tolist()
+        assert got == lex_least_invariant(base)
 
     def test_survivors_bypass_the_shared_cache(self):
         # only the one-vertex start goes through canonical_form's cache

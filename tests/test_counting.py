@@ -1,7 +1,9 @@
 """Level counts against oracles that need no list of classes: the
-cycle-index count of tournaments and the labelled-count identity
-sum over level n of n!/|Aut T| = number of labelled members."""
+cycle-index count of tournaments, the labelled-count identity
+sum over level n of n!/|Aut T| = number of labelled members, and, for
+Forb(cyclic 4), the stacked-family levels and the sum of 1/|Aut T|."""
 
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -29,6 +31,11 @@ A000568 = (
 
 def labelled_total(table, n):
     return sum(factorial(n) // automorphism_order(t) for t in table.members(n))
+
+
+@pytest.fixture(scope="module")
+def avoid_c4():
+    return avoidance_closure([make_cyclic(4)], 11)
 
 
 class TestCycleIndex:
@@ -73,6 +80,24 @@ class TestLabelledIdentity:
             level = {least[line_to_bits(line)] for line in table.forms[n]}
             members = sum(1 for c in least if c in level)
             assert labelled_total(table, n) == members, n
+
+
+class TestAvoidCyclic4:
+    """Forb(cyclic 4) is the stacked 1/3-block family, and |Aut make_T(seq)|
+    = 3^(number of 3s), so sum of 1/|Aut T| over level n obeys
+    g(n) = g(n-1) + g(n-3)/3 with g(0) = 1 and g(n) = 0 for n < 0."""
+
+    def test_levels_equal_the_stacked_family(self, avoid_c4):
+        for n in range(1, 12):
+            assert set(avoid_c4.forms[n]) == set(t_family_table(n + 3, n).forms[n]), n
+
+    def test_inverse_automorphism_sum(self, avoid_c4):
+        g = [Fraction(1)] * 3  # g(0), g(1), g(2)
+        for n in range(3, 12):
+            g.append(g[n - 1] + g[n - 3] / 3)
+        for n in range(1, 12):
+            total = sum(Fraction(1, automorphism_order(t)) for t in avoid_c4.members(n))
+            assert total == g[n], n
 
 
 @pytest.mark.slow
