@@ -3,7 +3,9 @@
 The canonical form of a tournament is the lexicographically minimal
 row-major pair-bit string over all n! vertex relabellings.  Two
 tournaments are isomorphic exactly when their canonical forms coincide,
-so sets of canonical lines implement exact unlabelled counting.
+so sets of canonical codes (the ``Tournament.bits`` of the canonical
+representative; only ``canonical_form`` renders the line) implement exact
+unlabelled counting.
 
 The search never enumerates all n! orders.  It grows the relabelling one
 vertex at a time while maintaining an ordered partition of the remaining
@@ -38,7 +40,7 @@ its explored orbit mate, and the counts restart whenever a better leaf
 is found.
 
 The caller may hand the search automorphisms it already knows
-(``canonical_line_and_automorphisms``); the deletion closure hands each
+(``canonical_code_and_automorphisms``); the deletion closure hands each
 child the automorphisms of its parent that fix the deleted vertex.  The
 search returns its canonical labelling (the best leaf's path) and the
 automorphisms it knows, which generate the automorphism group.
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .tournament import Tournament, bits_to_out_masks, line_to_bits
+from .tournament import Tournament, bits_to_line, bits_to_out_masks, line_to_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import StructureWitness
@@ -72,15 +74,15 @@ class CanonicalForm:
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:
-    return CanonicalForm(t.n, _canon_line(t.n, t.bits))
+    return CanonicalForm(t.n, bits_to_line(t.n, _canon_code(t.n, t.bits)))
 
 
 def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
     return canonical_form(t1) == canonical_form(t2)
 
 
-def canonical_line(n: int, bits: int) -> str:
-    """Canonical line of the tournament (n, bits), searched afresh.
+def canonical_code(n: int, bits: int) -> int:
+    """Canonical code of the tournament (n, bits), searched afresh.
 
     For callers whose inputs rarely repeat, such as the extension BFS's
     survivors, which would only fill the cache behind canonical_form.
@@ -88,7 +90,7 @@ def canonical_line(n: int, bits: int) -> str:
     return _search(bits_to_out_masks(n, bits))[0]
 
 
-_canon_line = lru_cache(maxsize=1 << 17)(canonical_line)
+_canon_code = lru_cache(maxsize=1 << 17)(canonical_code)
 
 
 def automorphism_order(t: Tournament) -> int:
@@ -100,24 +102,24 @@ def automorphism_order(t: Tournament) -> int:
     return _search(t.out_masks)[1]
 
 
-def canonical_line_and_automorphisms(
+def canonical_code_and_automorphisms(
     out: Sequence[int], known: Sequence[Sequence[int]] = ()
-) -> tuple[str, list[tuple[int, ...]]]:
-    """Canonical line of the tournament with out-masks ``out`` and
+) -> tuple[int, list[tuple[int, ...]]]:
+    """Canonical code of the tournament with out-masks ``out`` and
     automorphisms of its canonical representative.
 
     ``known`` holds automorphisms of the tournament the caller already
     has, each as the tuple of vertex images; they prune the search and
-    leave the line unchanged.  The automorphisms returned, the known ones
+    leave the code unchanged.  The automorphisms returned, the known ones
     among them, are written in the canonical labelling (vertex i is the
     i-th vertex of the line) and generate the automorphism group.
     """
-    line, _, labelling, autos = _search(out, known)
+    code, _, labelling, autos = _search(out, known)
     pos = [0] * len(out)
     for i, x in enumerate(labelling):
         pos[x] = i
     gens = dict.fromkeys(tuple([pos[g[x]] for x in labelling]) for g, _ in autos)
-    return line, list(gens)
+    return code, list(gens)
 
 
 def orbit_mask(start: int, gens: Sequence[Sequence[int]]) -> int:
@@ -252,11 +254,17 @@ class _Branch:
                 uf[max(a, b)] = min(a, b)
 
 
-def _line(n: int, rows: list[int]) -> str:
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _code(n: int, rows: list[int]) -> int:
+    """The pair bits the rows spell: the rows' joint numeral, bit-reversed."""
+    size = (n * (n - 1) // 2 + 7) // 8
     line = 0
     for width, row in zip(range(n - 1, 0, -1), rows):
         line = (line << width) | row
-    return format(line, f"0{n * (n - 1) // 2}b")
+    line <<= 8 * size - n * (n - 1) // 2  # zeros below, to whole bytes
+    return int.from_bytes(line.to_bytes(size, "big").translate(_REVERSED_BYTES), "little")
 
 
 def _fixed_points(g: Sequence[int]) -> int:
@@ -269,14 +277,14 @@ def _fixed_points(g: Sequence[int]) -> int:
 
 def _search(
     out: Sequence[int], known: Sequence[Sequence[int]] = ()
-) -> tuple[str, int, list[int], list[tuple[Sequence[int], int]]]:
-    """Lex-min line, automorphism count, canonical labelling (the best
+) -> tuple[int, int, list[int], list[tuple[Sequence[int], int]]]:
+    """Canonical code, automorphism count, canonical labelling (the best
     leaf's path) and automorphisms of the tournament with out-masks
     ``out``, each as (images, mask of fixed points): the known ones, then
     those found."""
     n = len(out)
     if n <= 1:
-        return "", 1, list(range(n)), []
+        return 0, 1, list(range(n)), []
     last = n - 2  # depth of the final row; one vertex is left after it
     path: list[int] = []  # vertices placed so far
     rows: list[int] = []  # their rows
@@ -313,7 +321,7 @@ def _search(
                 continue
             path.append(cells[0].bit_length() - 1)  # a leaf
             if len(stack) == 1:  # no branch point above: the only leaf
-                return _line(n, rows), 1, path, autos
+                return _code(n, rows), 1, path, autos
             if better:
                 better = False
                 best_rows, best_path = rows[:], path[:]
@@ -362,7 +370,7 @@ def _search(
                 break
             stack.pop()
             if not stack:
-                return _line(n, best_rows), b.total, best_path, autos
+                return _code(n, best_rows), b.total, best_path, autos
             stack[-1].current += b.total
         del path[b.depth :], rows[b.depth :]
         row, tied = b.row, [kid]

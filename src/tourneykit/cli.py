@@ -306,6 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.mem_budget < 1:
+        parser.error(f"--mem-budget must be at least 1 byte, got {args.mem_budget}")
     try:
         return args.fn(args)
     except InfeasibleSizeError as exc:

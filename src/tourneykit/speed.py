@@ -1,6 +1,7 @@
 """Hereditary-closure enumeration and unlabelled sub-tournament counting.
 
-Two enumeration strategies back the speed tables:
+Two enumeration strategies back the speed tables.  Both keep levels as
+canonical codes and render each level once, at the end, as sorted lines.
 
 * deletion BFS (hereditary_closure): start from the canonical forms of
   large seed tournaments and repeatedly delete single vertices with
@@ -12,7 +13,7 @@ Two enumeration strategies back the speed tables:
   the automorphisms that fix the deleted vertex, which restrict to
   automorphisms of the child, so it need not rediscover them.  The
   search runs on out-masks: each kept class's are built once from its
-  line, and each child's are derived from its parent's.
+  code, and each child's are derived from its parent's.
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -52,9 +53,10 @@ from typing import Sequence
 import numpy as np
 
 from .canon import (
+    _canon_code,
+    canonical_code,
+    canonical_code_and_automorphisms,
     canonical_form,
-    canonical_line,
-    canonical_line_and_automorphisms,
     orbit_mask,
 )
 from .families import FlagTriple, make_M, make_cyclic, make_type1
@@ -63,6 +65,7 @@ from .tournament import (
     Tournament,
     _delete_bits,
     _delete_out,
+    bits_to_line,
     bits_to_out_masks,
     concat,
     line_to_bits,
@@ -131,22 +134,34 @@ class SpeedTable:
 
 
 class _Budget:
-    """Running byte estimate of the classes a closure keeps, checked each
-    time a class is added."""
+    """Running byte estimate of the classes a closure keeps (a line byte a
+    pair, plus bookkeeping), checked each time a class is added."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
         self.what = what
         self.used = 0
 
-    def charge(self, line: str, level: int, kept: int) -> None:
-        self.used += len(line) + _FORM_OVERHEAD
+    def charge(self, level: int, kept: int) -> None:
+        self.used += pair_count(level) + _FORM_OVERHEAD
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"{self.what} exceeded the {self.limit}-byte budget while "
                 f"building level {level} ({kept} classes kept so far); "
                 f"partial results discarded"
             )
+
+
+def _render(levels: dict, n_max: int) -> dict[int, tuple[str, ...]]:
+    """Sorted lines of each level up to n_max.  Each level is emptied first,
+    so its set or dict is freed before its lines are made."""
+    forms = {}
+    for n, level in levels.items():
+        codes = list(level)
+        level.clear()
+        if n <= n_max:
+            forms[n] = tuple(sorted(bits_to_line(n, c) for c in codes))
+    return forms
 
 
 def hereditary_closure(
@@ -164,36 +179,31 @@ def hereditary_closure(
             raise InfeasibleSizeError(
                 f"seed on {s.n} vertices exceeds the bound {SEED_BOUND}"
             )
-    # level -> canonical line -> automorphisms of its representative
-    levels: dict[int, dict[str, list[tuple[int, ...]]]] = {}
+    # level -> canonical code -> automorphisms of its representative
+    levels: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     budget = _Budget(mem_budget, "closure")
     for s in seeds:
-        # decoded afresh, not cached on the caller's seeds, which may outlive
-        # the closure
-        line, gens = canonical_line_and_automorphisms(bits_to_out_masks(s.n, s.bits))
+        # decoded afresh: no out-masks cached on seeds that outlive the closure
+        code, gens = canonical_code_and_automorphisms(bits_to_out_masks(s.n, s.bits))
         bucket = levels.setdefault(s.n, {})
-        if line not in bucket:
-            bucket[line] = gens
-            budget.charge(line, s.n, len(bucket))
+        if code not in bucket:
+            bucket[code] = gens
+            budget.charge(s.n, len(bucket))
 
     top = max(levels)
     for size in range(top, 1, -1):
-        cur = levels.get(size)
-        if not cur:
-            continue
+        cur = levels[size]  # not empty: the level above, or a seed, reached it
         child = levels.setdefault(size - 1, {})
         built: set[int] = set()  # labelled children already canonicalised
-        for line in sorted(cur):
-            bits = line_to_bits(line)
-            out = bits_to_out_masks(size, bits)  # each child's is derived from it
-            gens = cur[line]
+        for code, gens in cur.items():
+            out = bits_to_out_masks(size, code)  # each child's is derived from it
             left = (1 << size) - 1
             while left:
                 # one deletion per orbit: t - v and t - g(v) are isomorphic
                 low = left & -left
                 left &= ~orbit_mask(low, gens)
                 v = low.bit_length() - 1
-                sub = _delete_bits(size, bits, v)
+                sub = _delete_bits(size, code, v)
                 if sub in built:
                     continue
                 built.add(sub)
@@ -203,16 +213,14 @@ def hereditary_closure(
                     for g in gens
                     if g[v] == v
                 ]
-                cl, cgens = canonical_line_and_automorphisms(
-                    _delete_out(out, v), known
-                )
-                if cl not in child:
-                    child[cl] = cgens
-                    budget.charge(cl, size - 1, len(child))
+                cc, cgens = canonical_code_and_automorphisms(_delete_out(out, v), known)
+                if cc not in child:
+                    child[cc] = cgens
+                    budget.charge(size - 1, len(child))
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
-        forms={n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max},
+        forms=_render(levels, n_max),
     )
     if not table.is_downward_closed():
         raise AssertionError(
@@ -262,10 +270,10 @@ def _tail_codes(size: int) -> np.ndarray:
 
 
 def _rejected_masks(
-    base: Tournament, forbidden: dict[int, frozenset[str]]
+    base: Tournament, forbidden: dict[int, frozenset[int]]
 ) -> np.ndarray:
     """Which of the 2^k one-vertex extensions of a k-vertex base contain a
-    forbidden pattern (canonical lines by size) through the new vertex k.
+    forbidden pattern (canonical codes by size) through the new vertex k.
 
     Bit i of an extension mask is set when k -> i.  For a vertex set S of
     the base, the sub-tournament on S + {k} is fixed by the base's pairs
@@ -280,18 +288,14 @@ def _rejected_masks(
     rejected = np.zeros(1 << k, dtype=bool)
     cube = rejected.reshape((2,) * k)  # axis k-1-v carries mask bit v
     adj = _adjacency(base, k + 1)
-    for size, lines in forbidden.items():
+    for size, forms in forbidden.items():
         if size > k + 1:
             continue
         rows = np.array(
             [c + (k,) for c in combinations(range(k), size - 1)], dtype=np.intp
         )
         codes = (_gather_codes(adj, rows)[:, None] | _tail_codes(size)).tolist()
-        bad = {
-            c
-            for c in set().union(*codes)
-            if canonical_form(Tournament(size, c)).bits in lines
-        }
+        bad = {c for c in set().union(*codes) if _canon_code(size, c) in forms}
         if not bad:
             continue
         for subset, spelled in zip(rows.tolist(), codes):
@@ -338,29 +342,23 @@ def avoidance_closure(
     seed_description: str | None = None,
 ) -> SpeedTable:
     """Extension BFS over the property of tournaments with no forbidden
-    induced sub-tournament.  A new vertex is appended with every possible
-    orientation; one test per base decides which extensions contain a
-    pattern through the new vertex; of the others, one pass picks those
-    whose new vertex is lex-least under (out-degree, sum of its
-    out-neighbours' out-degrees), ties included, and only those are
-    canonicalised, each by a fresh search: the survivors rarely repeat,
-    so they bypass canonical_form's cache."""
-    forb: dict[int, frozenset[str]] = {}
+    induced sub-tournament, recording levels <= n_max (see the module
+    docstring)."""
+    forb: dict[int, frozenset[int]] = {}
     for h in forbidden:
         if h.n < 1:
             raise ValueError("forbidden patterns must have at least one vertex")
-        forb[h.n] = forb.get(h.n, frozenset()) | {canonical_form(h).bits}
+        forb[h.n] = forb.get(h.n, frozenset()) | {_canon_code(h.n, h.bits)}
 
     budget = _Budget(mem_budget, "avoidance closure")
-    levels: dict[int, set[str]] = {1: set()}
+    levels: dict[int, set[int]] = {1: set()}
     if 1 not in forb:
-        single = canonical_form(Tournament(1, 0)).bits
-        levels[1].add(single)
-        budget.charge(single, 1, 1)
+        levels[1].add(_canon_code(1, 0))
+        budget.charge(1, 1)
     for k in range(1, n_max):
-        nxt: set[str] = set()
-        for line in sorted(levels[k]):
-            base = Tournament(k, line_to_bits(line))
+        nxt: set[int] = set()
+        for code in levels[k]:
+            base = Tournament(k, code)
             wanted = ~_rejected_masks(base, forb)
             survivors = np.flatnonzero(wanted)
             wanted[survivors] = _least_invariant_masks(base, survivors)
@@ -377,19 +375,16 @@ def avoidance_closure(
                 )
                 if not keep[mask]:
                     continue
-                cl = canonical_line(k + 1, ext.bits)
-                if cl not in nxt:
-                    nxt.add(cl)
-                    budget.charge(cl, k + 1, len(nxt))
+                cc = canonical_code(k + 1, ext.bits)
+                if cc not in nxt:
+                    nxt.add(cc)
+                    budget.charge(k + 1, len(nxt))
         levels[k + 1] = nxt
 
     desc = seed_description or (
         "avoid " + ",".join(sorted(f"{h.n}:{canonical_form(h).bits}" for h in forbidden))
     )
-    return SpeedTable(
-        seed=desc,
-        forms={n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max},
-    )
+    return SpeedTable(seed=desc, forms=_render(levels, n_max))
 
 
 def fstar(n: int) -> int:
@@ -591,22 +586,19 @@ def check_supermultiplicative(
             cm, cn, cmn = table.count(m), table.count(n), table.count(m + n)
             inequalities.append((m, n, cm * cn, cmn, cmn >= cm * cn))
             target = set(table.forms.get(m + n, ()))
-            seen: dict[str, tuple[str, str]] = {}
-            for l1 in table.forms.get(m, ()):
-                g1 = Tournament(m, line_to_bits(l1))
-                for l2 in table.forms.get(n, ()):
-                    g2 = Tournament(n, line_to_bits(l2))
+            seen: set[str] = set()  # each (m, n) pair of members is met once
+            for g1 in table.members(m):
+                for g2 in table.members(n):
                     w = canonical_form(concat(g1, g2)).bits
                     if w not in target:
                         witness_failures.append(
                             f"concat of ({m},{n}) pair lands outside level {m + n}"
                         )
-                    prev = seen.get(w)
-                    if prev is not None and prev != (l1, l2):
+                    if w in seen:
                         witness_failures.append(
                             f"concat witness collision at ({m},{n})"
                         )
-                    seen[w] = (l1, l2)
+                    seen.add(w)
     return SupermultReport(inequalities, witness_failures)
 
 

@@ -36,8 +36,8 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 
 def bits_to_line(n: int, bits: int) -> str:
-    """Render packed pair bits as the .trn body line."""
-    return "".join("1" if (bits >> k) & 1 else "0" for k in range(pair_count(n)))
+    """Render packed pair bits as the .trn body line (the numeral reversed)."""
+    return format(bits, f"0{pair_count(n)}b")[::-1] if n > 1 else ""
 
 
 def _delete_bits(n: int, bits: int, v: int) -> int:
@@ -91,14 +91,11 @@ def _delete_out(out: Sequence[int], v: int) -> tuple[int, ...]:
 
 
 def line_to_bits(line: str) -> int:
-    """Parse a .trn body line into packed pair bits."""
-    bits = 0
-    for k, ch in enumerate(line):
-        if ch == "1":
-            bits |= 1 << k
-        elif ch != "0":
-            raise ValueError(f"invalid pair-bit character {ch!r}")
-    return bits
+    """Parse a .trn body line into packed pair bits.  Only '0' and '1' are
+    accepted; int() alone would also take '_', signs, spaces and '0b'."""
+    if line.strip("01"):
+        raise ValueError(f"invalid pair-bit character {line.lstrip('01')[0]!r}")
+    return int(line[::-1], 2) if line else 0
 
 
 class Tournament:

@@ -22,7 +22,9 @@ deletes one vertex per automorphism orbit.  ``brute_canonical_codes``
 names each labelled code's class by the least code over its relabellings,
 and ``brute_first_embedding`` scans injective maps in lexicographic order.
 ``all_seeds_t_family_table`` seeds the stacked-family closure with every
-composition, not only those of the largest sum.
+composition, not only those of the largest sum.  ``reference_bits_to_line``
+and ``reference_line_to_bits`` convert between packed pair bits and the
+'0'/'1' body line one character at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ from tourneykit import Tournament, canonical_form, make_T, pair_count, pair_inde
 from tourneykit.speed import SpeedTable, _rejected_masks, hereditary_closure
 from tourneykit.tournament import line_to_bits
 from tourneykit.verify import composition_seqs
+
+
+def reference_bits_to_line(n: int, bits: int) -> str:
+    """The .trn body line of packed pair bits, character k from bit k."""
+    return "".join("1" if (bits >> k) & 1 else "0" for k in range(pair_count(n)))
+
+
+def reference_line_to_bits(line: str) -> int:
+    """Packed pair bits of a .trn body line, bit k from character k."""
+    bits = 0
+    for k, ch in enumerate(line):
+        if ch == "1":
+            bits |= 1 << k
+        elif ch != "0":
+            raise ValueError(f"invalid pair-bit character {ch!r}")
+    return bits
 
 
 def _relabelled_codes(n: int, code: int):
@@ -228,17 +246,17 @@ def all_labelled(n: int):
         yield Tournament(n, code)
 
 
-def avoids_through_last(t: Tournament, forbidden: dict[int, frozenset[str]]) -> bool:
-    """No forbidden pattern (canonical lines by size) on a vertex set that
+def avoids_through_last(t: Tournament, forbidden: dict[int, frozenset[int]]) -> bool:
+    """No forbidden pattern (canonical codes by size) on a vertex set that
     contains the last vertex of t."""
     v = t.n - 1
-    for size, lines in forbidden.items():
+    for size, codes in forbidden.items():
         if size > t.n:
             continue
         if size == 1:
             return False
         for rest in combinations(range(v), size - 1):
-            if canonical_form(t.induced(rest + (v,))).bits in lines:
+            if line_to_bits(canonical_form(t.induced(rest + (v,))).bits) in codes:
                 return False
     return True
 
@@ -360,9 +378,9 @@ def unfiltered_avoidance_forms(
 ) -> dict[int, tuple[str, ...]]:
     """Level forms of the extension BFS that canonicalises every extension
     the per-base pattern test does not reject."""
-    forb: dict[int, set[str]] = {}
+    forb: dict[int, set[int]] = {}
     for h in forbidden:
-        forb.setdefault(h.n, set()).add(canonical_form(h).bits)
+        forb.setdefault(h.n, set()).add(line_to_bits(canonical_form(h).bits))
     forb_frozen = {size: frozenset(v) for size, v in forb.items()}
     levels = {1: set() if 1 in forb_frozen else {canonical_form(Tournament(1, 0)).bits}}
     for k in range(1, n_max):

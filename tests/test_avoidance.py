@@ -26,8 +26,9 @@ from tourneykit import (
     make_cyclic,
     random_tournament,
 )
-from tourneykit.canon import _canon_line
+from tourneykit.canon import _canon_code
 from tourneykit.speed import _least_invariant_masks, _rejected_masks
+from tourneykit.tournament import line_to_bits
 
 C3 = make_T((3,))
 TT3 = make_T((1, 1, 1))
@@ -51,8 +52,8 @@ MIXED_PATTERN_SETS = [
 def by_size(patterns):
     forb = {}
     for h in patterns:
-        forb.setdefault(h.n, set()).add(canonical_form(h).bits)
-    return {size: frozenset(lines) for size, lines in forb.items()}
+        forb.setdefault(h.n, set()).add(line_to_bits(canonical_form(h).bits))
+    return {size: frozenset(codes) for size, codes in forb.items()}
 
 
 def reference_rejected(base, forb):
@@ -185,9 +186,9 @@ class TestLeastInvariantFilter:
 
     def test_survivors_bypass_the_shared_cache(self):
         # only the one-vertex start goes through canonical_form's cache
-        before = _canon_line.cache_info()
+        before = _canon_code.cache_info()
         all_classes(6)
-        after = _canon_line.cache_info()
+        after = _canon_code.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
 
 

@@ -35,8 +35,8 @@ from tourneykit import (
     random_tournament,
 )
 from tourneykit import canon
-from tourneykit.canon import _expand, _search, canonical_line_and_automorphisms
-from tourneykit.tournament import line_to_bits
+from tourneykit.canon import _expand, _search, canonical_code_and_automorphisms
+from tourneykit.tournament import bits_to_line, line_to_bits
 
 
 def paley(p):
@@ -254,7 +254,7 @@ class TestExpand:
         monkeypatch.setattr(canon, "_expand", checked)
         for seed in range(3):
             t = relabelled(build(), seed)
-            canon.canonical_line(t.n, t.bits)
+            canon.canonical_code(t.n, t.bits)
         assert kids
         if symmetric:  # automorphisms tie whole rows
             assert max(kids) > 1
@@ -363,9 +363,11 @@ class TestSeededSearch:
                         continue
                     done.add(img)
                     known = [conjugate(g, p) for g in group]
-                    out = Tournament(n, img).out_masks
-                    line, order = _search(out)[:2]
-                    assert _search(out, known)[:2] == (line, order), (n, img)
+                    t = Tournament(n, img)
+                    out = t.out_masks
+                    code, order = _search(out)[:2]
+                    assert code == line_to_bits(canonical_form(t).bits), (n, img)
+                    assert _search(out, known)[:2] == (code, order), (n, img)
                     assert order == len(group)
                     if n <= 5:
                         assert order == brute_automorphism_order(n, img)
@@ -379,7 +381,7 @@ class TestSeededSearch:
                 full = [sigma]
             else:
                 t, full = random_tournament(n, rng), []
-            line, order, _, autos = _search(t.out_masks)
+            code, order, _, autos = _search(t.out_masks)
             full += [tuple(g) for g, _ in autos]
             for g in full:
                 assert t.relabel(list(g)) == t
@@ -390,13 +392,13 @@ class TestSeededSearch:
                 for _ in range(rng.randrange(1, 4)):
                     word = compose(rng.choice(pool), word)
                 known.append(word)
-            assert _search(t.out_masks, known)[:2] == (line, order), (t, known)
-            assert _search(t.out_masks, full)[:2] == (line, order), (t, full)
+            assert _search(t.out_masks, known)[:2] == (code, order), (t, known)
+            assert _search(t.out_masks, full)[:2] == (code, order), (t, full)
 
     def test_matches_the_full_row_search(self, monkeypatch):
-        # line, |Aut|, labelling and automorphisms equal those of the same
+        # code, |Aut|, labelling and automorphisms equal those of the same
         # walk expanding each node by full rows, with and without known
-        # automorphisms; the labelling spells the line
+        # automorphisms; the labelling spells the code
         rng = random.Random(15)
         cases = [(relabelled(make_T((3,) * 4), 1), []), (relabelled(paley(11), 2), [])]
         for trial in range(400):
@@ -411,12 +413,12 @@ class TestSeededSearch:
         want = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
         assert got == want
         for (t, _), (plain, seeded) in zip(cases, got):
-            line, _, labelling, _ = plain
+            code, _, labelling, _ = plain
             assert seeded[:3] == plain[:3], t
             pos = [0] * t.n
             for i, x in enumerate(labelling):
                 pos[x] = i
-            assert t.relabel(pos).body_line() == line, t
+            assert t.relabel(pos).bits == code, t
 
     def test_planted_odd_automorphisms_against_oracles(self):
         # random codes are mostly rigid; a planted sigma makes nearly every
@@ -425,10 +427,10 @@ class TestSeededSearch:
         rng = random.Random(13)
         for trial in range(600):
             t, sigma = with_odd_automorphism(7 + trial % 6, rng)
-            line, order = _search(t.out_masks)[:2]
-            assert line == beam_canon_line(t), t
+            code, order = _search(t.out_masks)[:2]
+            assert bits_to_line(t.n, code) == beam_canon_line(t), t
             assert order == backtrack_automorphism_order(t), t
-            assert _search(t.out_masks, [sigma])[:2] == (line, order), (t, sigma)
+            assert _search(t.out_masks, [sigma])[:2] == (code, order), (t, sigma)
 
     @pytest.mark.parametrize(
         "build, order",
@@ -445,9 +447,9 @@ class TestSeededSearch:
     )
     def test_symmetric_families(self, build, order):
         t = relabelled(build(), 5)
-        line, gens = canonical_line_and_automorphisms(t.out_masks)
-        assert line == canonical_form(t).bits
-        rep = Tournament(t.n, line_to_bits(line))
+        code, gens = canonical_code_and_automorphisms(t.out_masks)
+        assert code == line_to_bits(canonical_form(t).bits)
+        rep = Tournament(t.n, code)
         for g in gens:
             assert rep.relabel(list(g)) == rep
         if order <= 10**4:
@@ -459,14 +461,14 @@ class TestSeededSearch:
             copy = rep.relabel(p)
             moved = [conjugate(g, p) for g in gens]
             for known in (moved, moved[:1], rng.sample(moved, len(moved) // 2)):
-                assert _search(copy.out_masks, known)[:2] == (line, order)
+                assert _search(copy.out_masks, known)[:2] == (code, order)
 
     def test_generators_generate_the_group_up_to_six_vertices(self, classes_by_n):
         for n, members in classes_by_n.items():
             if n > 6:
                 continue
             for t in members:
-                _, gens = canonical_line_and_automorphisms(t.out_masks)
+                _, gens = canonical_code_and_automorphisms(t.out_masks)
                 assert group_order(gens, n) == automorphism_order(t), t
 
 

@@ -146,6 +146,19 @@ def test_speed_without_levels_is_usage_error(tmp_path, capsys, n_max):
     assert "--n-max must be at least 1" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_mem_budget_below_one_is_usage_error(tmp_path, capsys, budget):
+    patt = tmp_path / "patt.trn"
+    patt.write_text(make_T((1, 3)).to_trn())
+    with pytest.raises(SystemExit) as exc:
+        run(["--mem-budget", budget, "speed", "--avoid", str(patt), "--n-max", "5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "usage:" in out.err
+    assert f"--mem-budget must be at least 1 byte, got {budget}" in out.err
+
+
 @pytest.mark.parametrize("scan", ["1", "-1"])
 def test_subcount_scan_below_first_host_is_usage_error(capsys, scan):
     # n = 5 needs hosts of at least ceil(5/3) = 2 layers

@@ -97,8 +97,11 @@ class TestHereditaryClosure:
             hereditary_closure([transitive(40)], 5)
 
     def test_memory_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             hereditary_closure([make_cyclic(12)], 6, mem_budget=512)
+        # 66 + 64 bytes for the seed, then 55 + 64 a class of level 11:
+        # the fourth takes the total to 606
+        assert _budget_stop(exc.value) == (11, 4)
 
     def test_memory_budget_stops_part_way_through_a_level(self):
         seed = random_tournament(9, 5)
@@ -107,6 +110,9 @@ class TestHereditaryClosure:
             hereditary_closure([seed], 9, mem_budget=400)
         level, kept = _budget_stop(exc.value)
         assert 0 < kept < full.count(level)
+        # 36 + 64 bytes for the seed, then 28 + 64 a class of level 8:
+        # the fourth takes the total to 468
+        assert (level, kept) == (8, 4)
 
     def test_self_check_survives_optimize(self):
         code = (
@@ -218,6 +224,9 @@ class TestAvoidanceClosure:
         level, kept = _budget_stop(exc.value)
         assert level == 6
         assert 0 < kept < 56
+        # levels 1-5 take 20 classes, 1,431 bytes, then 15 + 64 a class of
+        # level 6: the eighth takes the total to 2,063
+        assert kept == 8
 
 
 class TestSubCounting:

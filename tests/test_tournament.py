@@ -1,12 +1,20 @@
 """Core tournament type: encoding, elementary operations, serialization."""
 
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_cyclic_triangle, brute_strongly_connected, pair_out_masks
+from oracles import (
+    brute_has_cyclic_triangle,
+    brute_strongly_connected,
+    pair_out_masks,
+    reference_bits_to_line,
+    reference_line_to_bits,
+)
 from tourneykit import (
     Tournament,
     canonical_form,
@@ -17,7 +25,7 @@ from tourneykit import (
     random_tournament,
     read_edge_list,
 )
-from tourneykit.tournament import _delete_bits, _delete_out
+from tourneykit.tournament import _delete_bits, _delete_out, bits_to_line, line_to_bits
 
 
 def tournaments(max_n=8):
@@ -235,6 +243,40 @@ class TestSerialization:
             Tournament.from_trn("3\n01")
         with pytest.raises(ValueError):
             Tournament.from_trn("2\n2")
+
+    @pytest.mark.parametrize(
+        "body, bad",
+        [("1_0", "_"), ("+10", "+"), ("1 0", " "), ("1\t0", "\t"), ("0b1", "b")],
+        ids=["underscore", "plus", "space", "tab", "prefix"],
+    )
+    def test_trn_names_a_bad_character_inside_the_body(self, body, bad):
+        # int(s, 2) alone would accept each of these
+        named = re.escape(f"character {bad!r}")
+        with pytest.raises(ValueError, match=named):
+            Tournament.from_trn(f"3\n{body}")
+        with pytest.raises(ValueError, match=named):
+            reference_line_to_bits(body)
+
+    def test_converters_match_the_per_character_reference(self):
+        for n in range(7):
+            for code in range(1 << pair_count(n)):
+                line = bits_to_line(n, code)
+                assert line == reference_bits_to_line(n, code), (n, code)
+                assert line_to_bits(line) == code, (n, code)
+        rng = random.Random(16)
+        for _ in range(500):
+            n = rng.randrange(7, 65)
+            code = rng.getrandbits(pair_count(n))
+            line = bits_to_line(n, code)
+            assert line == reference_bits_to_line(n, code), (n, code)
+            assert line_to_bits(line) == reference_line_to_bits(line) == code, (n, code)
+
+    def test_trn_round_trip_at_the_random_cap(self):
+        # 2048 vertices, the largest `gen random` allows: 2,096,128 pair bits
+        t = random_tournament(2048, 1)
+        start = time.perf_counter()
+        assert Tournament.from_trn(t.to_trn()) == t
+        assert time.perf_counter() - start < 2.0
 
     def test_edge_list(self):
         t = read_edge_list("0 1\n2 0\n1 2\n")
