@@ -1,4 +1,4 @@
-"""Canonical forms, isomorphism testing, automorphism counting, containment.
+"""Canonical forms, isomorphism testing, automorphism counting.
 
 The canonical form of a tournament is the lexicographically minimal
 row-major pair-bit string over all n! vertex relabellings.  Two
@@ -50,12 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .tournament import Tournament, bits_to_line, bits_to_out_masks, line_to_bits
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .structures import StructureWitness
 
 
 @dataclass(frozen=True, order=True)
@@ -375,51 +372,3 @@ def _search(
         del path[b.depth :], rows[b.depth :]
         row, tied = b.row, [kid]
         better = False
-
-
-def contains_induced(t: Tournament, h: Tournament) -> "StructureWitness | None":
-    """Find an induced embedding of h in t, or None.
-
-    Returns a witness whose assignment maps pattern vertex q to host
-    vertex assignment[q].  Backtracking (on an explicit cursor per pattern
-    vertex, no recursion) explores host vertices in ascending order with
-    out/in-degree feasibility pruning, so the first witness found is the
-    lexicographically minimal assignment vector.
-    """
-    from .structures import StructureWitness
-
-    k, n = h.n, t.n
-    if k > n:
-        return None
-    tout, hout = t.out_masks, h.out_masks
-    tod = [m.bit_count() for m in tout]
-    tid = [n - 1 - d for d in tod]
-    hod = [m.bit_count() for m in hout]
-    hid = [k - 1 - d for d in hod]
-    img = [0] * k
-    nxt = [0] * (k + 1)  # next host vertex to try for each pattern vertex
-    used = 0
-    p = 0
-    while p < k:
-        w = nxt[p]
-        while w < n:
-            if (
-                not (used >> w) & 1
-                and tod[w] >= hod[p]
-                and tid[w] >= hid[p]
-                and all(((hout[q] >> p) & 1) == ((tout[img[q]] >> w) & 1) for q in range(p))
-            ):
-                break
-            w += 1
-        if w < n:
-            img[p] = w
-            used |= 1 << w
-            nxt[p] = w + 1
-            p += 1
-            nxt[p] = 0
-        elif p == 0:
-            return None
-        else:
-            p -= 1
-            used ^= 1 << img[p]
-    return StructureWitness(kind="embedding", assignment=tuple(img))

@@ -559,25 +559,16 @@ class SupermultReport:
 
 
 def check_supermultiplicative(
-    table: SpeedTable,
-    *,
-    forbidden: Sequence[Tournament] | None = None,
+    table: SpeedTable, *, forbidden: Sequence[Tournament]
 ) -> SupermultReport:
     """count(m+n) >= count(m) * count(n) for all recorded m + n, with the
     concatenation witness checked member-by-member.
 
     The property's forbidden patterns must all be strongly connected (a
-    strongly connected pattern cannot straddle the concatenation cut); if
-    the caller supplies them they are checked, otherwise the caller
-    asserts it.
+    strongly connected pattern cannot straddle the concatenation cut).
     """
-    if forbidden is not None:
-        for h in forbidden:
-            if not h.is_strongly_connected():
-                raise ValueError(
-                    "supermultiplicativity requires strongly connected "
-                    "forbidden patterns"
-                )
+    if not all(h.is_strongly_connected() for h in forbidden):
+        raise ValueError("supermultiplicativity requires strongly connected forbidden patterns")
     depth = max(table.levels(), default=0)
     inequalities = []
     witness_failures: list[str] = []

@@ -7,16 +7,21 @@ of the corresponding generator, in either of its two flavors.
 
 A type-2 k-structure is a transitive chain x_1..x_2k plus distinct extra
 vertices y_1..y_k with x_{2i} -> y_i -> x_{2i-1}; all other edges at the
-y's are unconstrained, so detection is a partial-pattern backtracking
-search rather than containment.
+y's are unconstrained, so it is a partial pattern.
+
+Both kinds, and induced containment (``contains_induced``), are found by
+one embedding search, ``_embed``: a pattern given as out-masks plus the
+pairs it fixes, with candidates kept as host bitmasks narrowed by the
+choices already made (Ullmann, "An algorithm for subgraph isomorphism",
+J. ACM 23, 1976).  Every witness is the lexicographically least
+assignment vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from . import canon
 from .families import make_type1, make_TS
 from .tournament import InfeasibleSizeError, Tournament
 
@@ -121,6 +126,86 @@ def max_transitive(t: Tournament) -> StructureWitness:
     return StructureWitness("transitive", chain)
 
 
+def _embed(
+    t: Tournament, pout: Sequence[int], care: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Lexicographically least assignment of the pattern's vertices to
+    distinct host vertices that keeps the pattern's fixed pairs, or None.
+
+    Bit q of pout[p] means p -> q; the symmetric masks ``care`` mark the
+    fixed pairs.  Vertices are placed in order 0..k-1 on an explicit
+    cursor (no recursion), each trying in ascending order the unused host
+    vertices that the images of its fixed earlier neighbours beat or lose
+    to, as required.  Two exact cuts: a node is cut when p has fewer
+    candidates than twins (the r >= p that relate to every vertex before p
+    as p does, which need distinct images among them), or when it leaves
+    no candidate to a later r whose fixed earlier neighbours are all
+    placed (settled).
+    """
+    k, n = len(pout), t.n
+    if k > n:
+        return None
+    if not k:
+        return ()
+    tout = t.out_masks
+    full = (1 << n) - 1
+    tin = [full ^ o ^ (1 << v) for v, o in enumerate(tout)]
+    # steps[r]: (host masks by vertex, q) for each fixed earlier neighbour q
+    # of r; r's image lies in masks[image of q]
+    steps = [
+        [(tin if pout[r] >> q & 1 else tout, q) for q in range(r) if care[r] >> q & 1]
+        for r in range(k)
+    ]
+
+    def fixed(r: int, j: int) -> tuple[int, int]:
+        """r's fixed pairs with the vertices before j, and which r beats."""
+        below = care[r] & ((1 << j) - 1)
+        return below, pout[r] & below
+
+    twins = [sum(fixed(r, p) == fixed(p, p) for r in range(p, k)) for p in range(k)]
+    # settled[p]: the r > p whose last fixed earlier neighbour is p - 1
+    settled = [
+        [r for r in range(p + 1, k) if fixed(r, r)[0].bit_length() == p] for p in range(k)
+    ]
+
+    def allowed(r: int) -> int:
+        d = free
+        for masks, q in steps[r]:
+            d &= masks[img[q]]
+        return d
+
+    img = [0] * k
+    cand = [0] * k
+    cand[0] = free = full
+    p = 0
+    while True:
+        m = cand[p]
+        if m:
+            low = m & -m
+            cand[p] = m ^ low
+            img[p] = low.bit_length() - 1
+            free ^= low
+            p += 1
+            if p == k:
+                return tuple(img)
+            c = allowed(p)
+            cut = c.bit_count() < twins[p] or not all(allowed(r) for r in settled[p])
+            cand[p] = 0 if cut else c
+        elif p:
+            p -= 1
+            free |= 1 << img[p]
+        else:
+            return None
+
+
+def contains_induced(t: Tournament, h: Tournament) -> StructureWitness | None:
+    """The lexicographically least induced embedding of h in t (pattern
+    vertex q goes to host vertex assignment[q]), or None."""
+    every = (1 << h.n) - 1
+    found = _embed(t, h.out_masks, [every ^ (1 << p) for p in range(h.n)])
+    return None if found is None else StructureWitness("embedding", found)
+
+
 def detect_type1(t: Tournament, k: int) -> StructureWitness | None:
     """First type-1 k-structure found, flavor A tried before flavor B."""
     if k < 1:
@@ -128,7 +213,7 @@ def detect_type1(t: Tournament, k: int) -> StructureWitness | None:
     if k > DETECT_K_BOUND:
         raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
     for flavor, kind in ((1, "type1-flavorA"), (0, "type1-flavorB")):
-        found = canon.contains_induced(t, make_type1(k, flavor))
+        found = contains_induced(t, make_type1(k, flavor))
         if found is not None:
             return StructureWitness(kind, found.assignment)
     return None
@@ -137,60 +222,23 @@ def detect_type1(t: Tournament, k: int) -> StructureWitness | None:
 def detect_type2(t: Tournament, k: int) -> StructureWitness | None:
     """First type-2 k-structure found (lexicographically least assignment).
 
-    Chooses the transitive chain first (each new chain vertex taken from
-    the running intersection of out-sets), then one sandwich vertex per
-    chain pair.
+    The pattern, in witness order x_1..x_2k, y_1..y_k, fixes the chain
+    pairs and the two sandwich pairs x_{2i} -> y_i -> x_{2i-1} of each y;
+    every other pair at the y's is free.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > DETECT_K_BOUND:
         raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
-    n = t.n
-    if 3 * k > n:
-        return None
-    out = t.out_masks
-    full = (1 << n) - 1
-    xs: list[int] = []
-
-    def in_mask(v: int) -> int:
-        return full ^ out[v] ^ (1 << v)
-
-    def place_y(i: int, used: int, ys: list[int]) -> tuple[int, ...] | None:
-        if i == k:
-            return tuple(xs + ys)
-        cands = out[xs[2 * i + 1]] & in_mask(xs[2 * i]) & ~used
-        m = cands
-        while m:
-            b = m & -m
-            m ^= b
-            ys.append(b.bit_length() - 1)
-            found = place_y(i + 1, used | b, ys)
-            if found is not None:
-                return found
-            ys.pop()
-        return None
-
-    def place_x(pos: int, avail: int, used: int) -> tuple[int, ...] | None:
-        if pos == 2 * k:
-            return place_y(0, used, [])
-        if avail.bit_count() < 2 * k - pos:
-            return None
-        m = avail
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            xs.append(v)
-            found = place_x(pos + 1, avail & out[v], used | b)
-            if found is not None:
-                return found
-            xs.pop()
-        return None
-
-    assignment = place_x(0, full, 0)
-    if assignment is None:
-        return None
-    return StructureWitness("type2", assignment)
+    m = 2 * k
+    chain = (1 << m) - 1
+    # x_a (0-based a) is y_{a//2}'s sandwich vertex; x_{2i+1} -> y_i -> x_{2i}
+    pout = [chain ^ ((2 << a) - 1) | (a & 1) << (m + a // 2) for a in range(m)]
+    pout += [1 << 2 * i for i in range(k)]
+    care = [chain ^ (1 << a) | 1 << (m + a // 2) for a in range(m)]
+    care += [3 << 2 * i for i in range(k)]
+    found = _embed(t, pout, care)
+    return None if found is None else StructureWitness("type2", found)
 
 
 def dn_membership(n: int, s: Iterable[int]) -> bool:

@@ -90,6 +90,27 @@ def _delete_out(out: Sequence[int], v: int) -> tuple[int, ...]:
     )
 
 
+def _pack(rows: Sequence[int]) -> int:
+    """Packed pair bits from rows where bit j > i of rows[i] says i -> j
+    (lower bits are not read, so out-masks do); one shift per row."""
+    n = len(rows)
+    bits = 0
+    shift = 0
+    for i in range(n - 1):
+        bits |= (rows[i] >> (i + 1)) << shift
+        shift += n - 1 - i
+    return bits
+
+
+def _decimal(text: str, what: str) -> int:
+    """A vertex count or id: ASCII decimal digits, maybe padded by
+    whitespace (int() alone also takes '_', signs and other digits)."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} must be non-negative, in ASCII decimal digits, got {text!r}")
+    return int(digits)
+
+
 def line_to_bits(line: str) -> int:
     """Parse a .trn body line into packed pair bits.  Only '0' and '1' are
     accepted; int() alone would also take '_', signs, spaces and '0b'."""
@@ -131,9 +152,7 @@ class Tournament:
         lines = text.splitlines()
         if not lines:
             raise ValueError("empty .trn input")
-        n = int(lines[0].strip())
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        n = _decimal(lines[0], "vertex count")
         body = lines[1].strip() if len(lines) > 1 else ""
         m = pair_count(n)
         if len(body) != m:
@@ -187,15 +206,13 @@ class Tournament:
             self._check_vertex(v)
         k = len(vs)
         out = self.out_masks
-        bits = 0
-        idx = 0
-        for a in range(k):
-            oa = out[vs[a]]
+        rows = [0] * k
+        for a, v in enumerate(vs):
+            o = out[v]
             for b in range(a + 1, k):
-                if (oa >> vs[b]) & 1:
-                    bits |= 1 << idx
-                idx += 1
-        return Tournament(k, bits)
+                if o >> vs[b] & 1:
+                    rows[a] |= 1 << b
+        return Tournament(k, _pack(rows))
 
     def delete(self, v: int) -> "Tournament":
         """Sub-tournament with one vertex removed."""
@@ -215,13 +232,7 @@ class Tournament:
                 o ^= low
                 image |= 1 << perm[low.bit_length() - 1]
             out[perm[i]] = image
-        # row i of the pair bits is out-mask i above bit i
-        bits = 0
-        shift = 0
-        for i in range(n - 1):
-            bits |= (out[i] >> (i + 1)) << shift
-            shift += n - 1 - i
-        return Tournament(n, bits)
+        return Tournament(n, _pack(out))
 
     def reverse(self) -> "Tournament":
         """Flip every edge."""
@@ -328,8 +339,8 @@ def read_edge_list(text: str) -> Tournament:
         parts = s.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0 or u == v:
+        u, v = (_decimal(x, f"line {lineno}: vertex id") for x in parts)
+        if u == v:
             raise ValueError(f"line {lineno}: invalid edge {u} -> {v}")
         key = (min(u, v), max(u, v))
         if key in oriented:
@@ -342,8 +353,8 @@ def read_edge_list(text: str) -> Tournament:
             f"incomplete edge list: {len(oriented)} pairs given, "
             f"{pair_count(n)} needed for n={n}"
         )
-    bits = 0
+    rows = [0] * n
     for (i, j), forward in oriented.items():
         if forward:
-            bits |= 1 << pair_index(n, i, j)
-    return Tournament(n, bits)
+            rows[i] |= 1 << j
+    return Tournament(n, _pack(rows))

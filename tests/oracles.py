@@ -241,6 +241,19 @@ def brute_type2(t: Tournament, k: int) -> bool:
     return False
 
 
+def brute_first_type2(t: Tournament, k: int) -> tuple[int, ...] | None:
+    """The lexicographically least assignment (x_1..x_2k, y_1..y_k) of a
+    type-2 k-structure, by a scan of every injective map."""
+    for img in permutations(range(t.n), 3 * k):
+        xs, ys = img[: 2 * k], img[2 * k :]
+        if all(t.beats(a, b) for a, b in combinations(xs, 2)) and all(
+            t.beats(xs[2 * i + 1], ys[i]) and t.beats(ys[i], xs[2 * i])
+            for i in range(k)
+        ):
+            return img
+    return None
+
+
 def all_labelled(n: int):
     for code in range(1 << pair_count(n)):
         yield Tournament(n, code)

@@ -390,7 +390,7 @@ def test_c15_engineered_block_slopes():
     slopes = {}
     ok = True
     for k in (1, 2):
-        slope, table = theorem2_slope(k, 6, 12)
+        slope, table = theorem2_slope(k)
         slopes[k] = round(slope, 3)
         ok = ok and abs(slope - k) <= 0.35
     elapsed = _started() - t0

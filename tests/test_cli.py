@@ -355,6 +355,20 @@ def test_negative_vertex_count_in_trn(tmp_path, capsys):
     assert "vertex count must be non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "text, bad",
+    [("+3\n010\n", "+3"), ("1_0\n" + "0" * 45 + "\n", "1_0"), ("0 +1\n", "+1")],
+    ids=["signed-count", "underscore-count", "signed-edge-id"],
+)
+def test_non_ascii_digit_numbers_are_usage_errors(tmp_path, capsys, text, bad):
+    path = tmp_path / "bad.trn"
+    path.write_text(text)
+    code, out, err = _run(capsys, ["canon", str(path)])
+    assert code == 2
+    assert out == ""
+    assert repr(bad) in err
+
+
 def test_gen_random_size_cap(tmp_path, capsys):
     from tourneykit.cli import RANDOM_MAX_N
 

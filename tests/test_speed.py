@@ -301,6 +301,11 @@ class TestCountingChecks:
                 avoidance_closure([transitive(3)], 4), forbidden=[transitive(3)]
             )
 
+    def test_supermultiplicative_needs_the_forbidden_patterns(self):
+        # the strong-connectivity check always runs, so the patterns are required
+        with pytest.raises(TypeError):
+            check_supermultiplicative(avoidance_closure([make_cyclic(4)], 5))
+
     def test_supermultiplicative_cyclic4(self):
         c4 = make_cyclic(4)
         table = avoidance_closure([c4], 7)

@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
-from oracles import brute_type1, brute_type2
+from oracles import all_labelled, brute_first_type2, brute_type1, brute_type2
 from tourneykit import (
     InfeasibleSizeError,
+    Tournament,
     detect_type1,
     detect_type2,
     dn_membership,
@@ -19,6 +20,7 @@ from tourneykit import (
     max_transitive,
     random_tournament,
 )
+from tourneykit.structures import _embed
 
 ALL_FLAGS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
@@ -112,6 +114,22 @@ class TestDetectType2:
                 assert detect_type2(t, 1) is not None
 
 
+class TestEmbed:
+    def test_no_fixed_pairs_maps_to_the_first_vertices(self):
+        t = random_tournament(7, 8)
+        for k in range(8):
+            assert _embed(t, [0] * k, [0] * k) == tuple(range(k))
+
+    def test_pattern_larger_than_host(self):
+        t = random_tournament(4, 9)
+        assert _embed(t, [0] * 5, [0] * 5) is None
+        assert _embed(t, transitive(5).out_masks, [31 ^ (1 << p) for p in range(5)]) is None
+
+    def test_empty_pattern(self):
+        assert _embed(random_tournament(5, 10), [], []) == ()
+        assert _embed(Tournament(0), [], []) == ()
+
+
 class TestDetectionOracles:
     def test_type1_matches_brute_force(self):
         rng = random.Random(4)
@@ -119,6 +137,15 @@ class TestDetectionOracles:
             t = random_tournament(rng.randrange(3, 8), rng)
             for k in (1, 2):
                 assert (detect_type1(t, k) is not None) == brute_type1(t, k)
+
+    def test_type2_witness_is_lexicographically_first(self):
+        hosts = [t for n in range(6) for t in all_labelled(n)]
+        rng = random.Random(6)
+        hosts += [random_tournament(rng.choice((6, 7)), rng) for _ in range(60)]
+        for t in hosts:
+            for k in (1, 2):
+                got = detect_type2(t, k)
+                assert (got.assignment if got else None) == brute_first_type2(t, k), (t, k)
 
     def test_type2_matches_brute_force(self):
         rng = random.Random(5)

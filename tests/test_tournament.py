@@ -99,6 +99,18 @@ class TestInduced:
         with pytest.raises(ValueError):
             transitive(3).induced([0, 0, 1])
 
+    def test_induced_at_the_random_cap(self):
+        # 2048 vertices, the largest `gen random` allows
+        t = random_tournament(2048, 1)
+        start = time.perf_counter()
+        assert t.induced(range(2048)) == t
+        evens = t.induced(range(0, 2048, 2))
+        assert time.perf_counter() - start < 5.0
+        rng = random.Random(7)
+        for _ in range(500):
+            a, b = rng.sample(range(1024), 2)
+            assert evens.beats(a, b) == t.beats(2 * a, 2 * b)
+
     def test_delete_bits_every_code_up_to_six_vertices(self):
         for n in range(1, 7):
             for code in range(1 << pair_count(n)):
@@ -285,6 +297,33 @@ class TestSerialization:
     def test_edge_list_rejects_incomplete(self):
         with pytest.raises(ValueError):
             read_edge_list("0 1\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "count", ["1_0", "+3", "\u0663", "3\u0663", "0x3", "-0", ""],
+        ids=["underscore", "plus", "arabic-indic", "mixed", "hex", "minus-zero", "empty"],
+    )
+    def test_trn_vertex_count_takes_ascii_digits_only(self, count):
+        # int() alone would accept the first three
+        with pytest.raises(ValueError, match=re.escape(repr(count))):
+            Tournament.from_trn(f"{count}\n010")
+
+    def test_trn_vertex_count_may_carry_surrounding_whitespace(self):
+        assert Tournament.from_trn(" 3\t\n010") == Tournament(3, line_to_bits("010"))
+
+    @pytest.mark.parametrize("vid", ["+1", "1_0", "\u0661", "-1"])
+    def test_edge_list_ids_take_ascii_digits_only(self, vid):
+        named = "line 1: vertex id must be non-negative, in ASCII decimal digits, got "
+        named = re.escape(named + repr(vid))
+        with pytest.raises(ValueError, match=named):
+            read_edge_list(f"0 {vid}\n")
+
+    def test_edge_list_of_random_tournaments(self):
+        for n in (2, 5, 60):
+            t = random_tournament(n, n)
+            text = "".join(
+                f"{u} {v}\n" for u, o in enumerate(t.out_masks) for v in range(n) if o >> v & 1
+            )
+            assert read_edge_list(text) == t
 
     def test_edge_list_rejects_double_orientation(self):
         with pytest.raises(ValueError):
