@@ -30,6 +30,7 @@ from .families import (
     make_type1,
 )
 from .speed import (
+    DEFAULT_MEM_BUDGET,
     avoidance_closure,
     count_cyclic_subs,
     count_sub_L,
@@ -43,11 +44,21 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
-RANDOM_MAX_N = 2048  # `gen random` cap: ~2M pair bits, a 2 MB .trn file
-# `gen` families and how many parameters each needs at least
-FAMILY_ARITY = {
-    "T": 1, "M": 2, "Mk": 2, "cyclic": 1, "TS": 1, "Tstar": 1, "type1": 1,
-    "moon": 1, "blowup": 1, "random": 1,
+RANDOM_MAX_N = 2048  # `gen` cap, every family: ~2M pair bits, a 2 MB .trn file
+# `gen` families: how many parameters each needs at least, and its vertex
+# count from them, checked against the cap before anything is built
+FAMILIES = {
+    "T": (1, lambda p: sum(_csv_ints(p[0]))),
+    "M": (2, lambda p: 3 * int(p[1])),
+    "Mk": (2, lambda p: int(p[0]) * int(p[1])),
+    "cyclic": (1, lambda p: int(p[0])),
+    "TS": (1, lambda p: int(p[0])),
+    "Tstar": (1, lambda p: int(p[0])),
+    "type1": (1, lambda p: 2 * int(p[0]) + 1),
+    # 3^7 is over the cap already; a huge level's power would take minutes
+    "moon": (1, lambda p: 3 ** min(int(p[0]), 7)),
+    "blowup": (1, lambda p: sum(_csv_ints(p[0]))),
+    "random": (1, lambda p: int(p[0])),
 }
 
 
@@ -75,11 +86,14 @@ def _emit(obj) -> None:
 def _gen(args) -> int:
     fam = args.family
     params = args.params
-    if fam not in FAMILY_ARITY:
+    if fam not in FAMILIES:
         print(f"unknown family {fam!r}", file=sys.stderr)
         return EXIT_USAGE
-    if len(params) < FAMILY_ARITY[fam]:
+    arity, size = FAMILIES[fam]
+    if len(params) < arity:
         raise ValueError("missing family parameters")
+    if size(params) > RANDOM_MAX_N:
+        raise InfeasibleSizeError(f"gen {fam} is capped at {RANDOM_MAX_N} vertices")
     if fam == "T":
         t = make_T(_csv_ints(params[0]))
     elif fam == "M":
@@ -103,12 +117,7 @@ def _gen(args) -> int:
     elif fam == "blowup":
         t = make_cyclic_blowup(_csv_ints(params[0]))
     else:  # random
-        n = int(params[0])
-        if n > RANDOM_MAX_N:
-            raise InfeasibleSizeError(
-                f"gen random is capped at {RANDOM_MAX_N} vertices, got {n}"
-            )
-        t = random_tournament(n, args.seed)
+        t = random_tournament(int(params[0]), args.seed)
     text = t.to_trn()
     if args.output:
         Path(args.output).write_text(text)
@@ -244,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tournament combinatorics workbench",
     )
     p.add_argument(
-        "--mem-budget", type=int, default=2 * 1024**3, help="closure budget, bytes"
+        "--mem-budget", type=int, default=DEFAULT_MEM_BUDGET, help="closure budget, bytes"
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed for sampling verbs")
     sub = p.add_subparsers(dest="verb", required=True)
 
     g = sub.add_parser("gen", help="generate a family member as .trn")
-    g.add_argument("family", help="|".join(FAMILY_ARITY))
+    g.add_argument("family", help="|".join(FAMILIES))
     g.add_argument("params", nargs="*", help="family parameters")
     g.add_argument("-o", "--output")
     g.set_defaults(fn=_gen)

@@ -20,37 +20,36 @@ canonical codes and render each level once, at the end, as sorted lines.
   new vertex.  Right when the property is given by forbidden patterns and
   levels would otherwise be reached from unboundedly many seeds.  One
   pattern test per base decides all 2^k orientations of the new vertex
-  at once: for each pattern size s it gathers, with numpy, the labelled
-  codes of every (s-1)-subset of the base joined to the new vertex under
-  every orientation of the joining pairs, canonicalises only the distinct
-  codes, and rejects the orientations that spell a forbidden one.  Of
+  at once, as a bitset over them: for each pattern size s it takes the
+  base's code on every (s-1)-subset, asks which orientations of the
+  joining pairs complete a forbidden pattern once per distinct code, and
+  rejects the orientations that spell one, an AND of bit columns.  Of
   the survivors, only those whose new vertex is lex-least under
   (out-degree, sum of its out-neighbours' out-degrees), ties included,
-  are canonicalised; one numpy pass over the masks the pattern test
-  keeps decides the whole condition.  No class is lost: a member C on
-  k+1 vertices minus a lex-least vertex w is a member (the property is
-  hereditary), so C is rebuilt from the canonical base of C - w with w
-  as the new vertex, and that extension passes, since an isomorphism
+  are canonicalised; the out-degree part is two mask tests, and the
+  sums are taken only for the tied vertices.  No class is lost: a member
+  C on k+1 vertices minus a lex-least vertex w is a member (the property
+  is hereditary), so C is rebuilt from the canonical base of C - w with
+  w as the new vertex, and that extension passes, since an isomorphism
   keeps any vertex invariant.  The dedup set absorbs the classes reached
   more than once.  The survivors rarely repeat, so each gets a fresh
   search rather than a slot in canonical_form's cache.
 
 Counting the n-vertex sub-tournament classes of one big host
-(distinct_sub_classes) enumerates n-subsets directly with canonical
-dedup: a deletion BFS from a 30-vertex host down to n = 6 would have to
-materialise the combinatorially huge intermediate levels, while the
-bottom level alone stays small.
+(distinct_sub_classes) grows n-subsets one vertex at a time, keeping
+one copy of each partial state their completions depend on: a deletion
+BFS from a 30-vertex host down to n = 6 would have to materialise the
+combinatorially huge intermediate levels, while the bottom level alone
+stays small.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from math import comb, ceil
-from typing import Sequence
-
-import numpy as np
+from itertools import combinations
+from math import ceil, comb, log
+from typing import Iterable, Sequence
 
 from .canon import (
     _canon_code,
@@ -65,12 +64,12 @@ from .tournament import (
     Tournament,
     _delete_bits,
     _delete_out,
+    _pack,
     bits_to_line,
     bits_to_out_masks,
     concat,
     line_to_bits,
     pair_count,
-    pair_index,
 )
 
 SEED_BOUND = 36
@@ -230,87 +229,54 @@ def hereditary_closure(
     return table
 
 
-def _adjacency(t: Tournament, size: int) -> np.ndarray:
-    """0/1 matrix with [i, j] = 1 iff i -> j, zero-padded to size x size."""
-    adj = np.zeros((size, size), dtype=np.uint8)
-    for i, o in enumerate(t.out_masks):
-        for j in range(t.n):
-            adj[i, j] = (o >> j) & 1
-    return adj
-
-
-def _code_dtype(size: int):
-    """int64 while a size-vertex code fits, else Python ints."""
-    return np.int64 if pair_count(size) < 63 else object
-
-
-def _gather_codes(adj: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Row-major pair-bit code of the sub-tournament induced on each row of
-    ``subsets`` (vertex indices in increasing order).  Codes wider than
-    int64 fall back to Python ints."""
-    s = subsets.shape[1]
-    dtype = _code_dtype(s)
-    codes = np.zeros(len(subsets), dtype=dtype)
-    pos = 0
-    for a in range(s):
-        for b in range(a + 1, s):
-            codes |= adj[subsets[:, a], subsets[:, b]].astype(dtype) << pos
-            pos += 1
-    return codes
-
-
-def _tail_codes(size: int) -> np.ndarray:
-    """Entry r: the pair bits joining the last of ``size`` vertices to the
-    others when it beats vertex a exactly where bit a of r is set."""
-    r = np.arange(1 << (size - 1)).astype(_code_dtype(size))
-    tail = np.zeros_like(r)
-    for a in range(size - 1):
-        tail |= (1 - ((r >> a) & 1)) << pair_index(size, a, size - 1)
-    return tail
-
-
-def _rejected_masks(
-    base: Tournament, forbidden: dict[int, frozenset[int]]
-) -> np.ndarray:
+def _rejected_masks(base: Tournament, forbidden: dict[int, frozenset[int]]) -> int:
     """Which of the 2^k one-vertex extensions of a k-vertex base contain a
-    forbidden pattern (canonical codes by size) through the new vertex k.
+    forbidden pattern (canonical codes by size) through the new vertex k:
+    bit m of the result is set when extension m does.
 
     Bit i of an extension mask is set when k -> i.  For a vertex set S of
-    the base, the sub-tournament on S + {k} is fixed by the base's pairs
-    on S and by r, the mask bits on S read in increasing vertex order: its
-    code is base_code(S) | tail(r).  These labelled codes are gathered for
-    every S at once, only the distinct ones are canonicalised, and each
-    forbidden (S, r) rejects the masks whose bits on S spell r.
+    the base, the sub-tournament on {k} + S, with k put first, is fixed by
+    the base's code on S and by r, the mask bits on S read in increasing
+    vertex order: its code is code(S) << |S| | r.  Each distinct code(S)
+    has its forbidden r found once, and each forbidden (S, r) rejects the
+    masks whose bits on S spell r: an AND of bit columns, col[v] being the
+    set of masks with bit v set.
     """
     k = base.n
-    if 1 in forbidden:
-        return np.ones(1 << k, dtype=bool)
-    rejected = np.zeros(1 << k, dtype=bool)
-    cube = rejected.reshape((2,) * k)  # axis k-1-v carries mask bit v
-    adj = _adjacency(base, k + 1)
+    every = (1 << (1 << k)) - 1
+    # runs of 2^v clear then 2^v set bits, repeated
+    col = [
+        every // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
+        for v in range(k)
+    ]
+    out = base.out_masks
+    rejected = 0
     for size, forms in forbidden.items():
-        if size > k + 1:
-            continue
-        rows = np.array(
-            [c + (k,) for c in combinations(range(k), size - 1)], dtype=np.intp
-        )
-        codes = (_gather_codes(adj, rows)[:, None] | _tail_codes(size)).tolist()
-        bad = {c for c in set().union(*codes) if _canon_code(size, c) in forms}
-        if not bad:
-            continue
-        for subset, spelled in zip(rows.tolist(), codes):
-            for r, c in enumerate(spelled):
-                if c in bad:
-                    idx: list = [slice(None)] * k
-                    for a, v in enumerate(subset[:-1]):
-                        idx[k - 1 - v] = (r >> a) & 1
-                    cube[tuple(idx)] = True
+        last = size - 1
+        spelled: dict[int, list[int]] = {}  # code(S) -> the forbidden r
+        for subset in combinations(range(k), last):
+            # row a: bit b set when subset[a] -> subset[b]
+            code = _pack([
+                sum(1 << b for b, w in enumerate(subset) if out[v] >> w & 1)
+                for v in subset
+            ])
+            bad = spelled.get(code)
+            if bad is None:
+                bad = spelled[code] = [
+                    r for r in range(1 << last)
+                    if _canon_code(size, code << last | r) in forms
+                ]
+            for r in bad:
+                sel = every
+                for a, v in enumerate(subset):
+                    sel &= col[v] if r >> a & 1 else every ^ col[v]
+                rejected |= sel
     return rejected
 
 
-def _least_invariant_masks(base: Tournament, masks: np.ndarray) -> np.ndarray:
-    """Which of the given one-vertex extension masks of a k-vertex base
-    make the new vertex k lex-least under (out-degree, sum of its
+def _least_invariant_masks(base: Tournament, masks: Iterable[int]) -> list[int]:
+    """The given one-vertex extension masks of a k-vertex base that make
+    the new vertex k lex-least under (out-degree, sum of its
     out-neighbours' out-degrees), ties included.
 
     Bit i of an extension mask m is set when k -> i.  In that extension k
@@ -319,19 +285,37 @@ def _least_invariant_masks(base: Tournament, masks: np.ndarray) -> np.ndarray:
     out-degree deg_base(i) + 1 - bit_i(m), beats its base out-neighbours
     j, of out-degree deg_base(j) + 1 - bit_j(m), and beats k when bit i
     is clear.  k passes when every base vertex has a greater out-degree
-    than D, or out-degree D and a sum of at least S.
+    than D, or out-degree D and a sum of at least S.  A base vertex falls
+    below D when deg_base(i) < D - 1, or deg_base(i) = D - 1 and bit i is
+    set; it ties D when deg_base(i) = D - 1 and bit i is clear, or
+    deg_base(i) = D and bit i is set.
     """
     k = base.n
-    adj = _adjacency(base, k).astype(np.int16)
-    deg = adj.sum(axis=1)
-    bits = ((masks[:, None] >> np.arange(k)) & 1).astype(np.int16)
-    new_degree = bits.sum(axis=1)[:, None]
-    new_sum = (bits @ deg)[:, None]
-    degree = deg + 1 - bits
-    sums = adj @ (deg + 1) - bits @ adj.T + (1 - bits) * new_degree
-    return (
-        (degree > new_degree) | ((degree == new_degree) & (sums >= new_sum))
-    ).all(axis=1)
+    out = base.out_masks
+    deg = [o.bit_count() for o in out]
+    at = [0] * (k + 1)  # at[d]: the base vertices of out-degree d; at[k] is empty
+    for i, d in enumerate(deg):
+        at[d] |= 1 << i
+    least = min(deg)
+    # the sum of vertex i's base out-neighbours' out-degrees in the extension
+    # with mask 0, where each of them beats k
+    sums = [sum(deg[j] + 1 for j in range(k) if o >> j & 1) for o in out]
+    keep = []
+    for m in masks:
+        d = m.bit_count()
+        if d > least + 1 or m & at[d - 1]:  # at[d - 1] is at[k], empty, when d = 0
+            continue
+        tied = at[d - 1] | m & at[d]
+        if tied:
+            new_sum = sum(deg[j] for j in range(k) if m >> j & 1)
+            if not all(
+                sums[i] - (out[i] & m).bit_count() + (0 if m >> i & 1 else d) >= new_sum
+                for i in range(k)
+                if tied >> i & 1
+            ):
+                continue
+        keep.append(m)
+    return keep
 
 
 def avoidance_closure(
@@ -359,10 +343,10 @@ def avoidance_closure(
         nxt: set[int] = set()
         for code in levels[k]:
             base = Tournament(k, code)
-            wanted = ~_rejected_masks(base, forb)
-            survivors = np.flatnonzero(wanted)
-            wanted[survivors] = _least_invariant_masks(base, survivors)
-            keep = wanted.tolist()
+            # char m is bit m of the rejected set
+            flags = format(_rejected_masks(base, forb), f"0{1 << k}b")[::-1]
+            survivors = [m for m, c in enumerate(flags) if c == "0"]
+            keep = set(_least_invariant_masks(base, survivors))
             out = base.out_masks
             for mask in range(1 << k):
                 # extensions left out are built too: perfbench's traced run
@@ -373,7 +357,7 @@ def avoidance_closure(
                         (o[i] >> j) & 1 if j < kk else not ((m >> i) & 1)
                     ),
                 )
-                if not keep[mask]:
+                if mask not in keep:
                     continue
                 cc = canonical_code(k + 1, ext.bits)
                 if cc not in nxt:
@@ -402,34 +386,40 @@ def fstar(n: int) -> int:
 def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
     """Sorted canonical lines of the k-vertex induced sub-tournaments.
 
-    Enumerates the C(n, k) subsets in chunks, extracts each induced
-    pair-bit code with vectorised gathers, then canonicalises the distinct
-    labelled codes only.
+    Grows the subsets one vertex at a time, keeping one copy of each
+    partial state that its completions depend on, then canonicalises the
+    distinct labelled codes only.
     """
     n = host.n
     if k < 0 or k > n:
         return ()
-    if k == n:
-        return (canonical_form(host).bits,)
-    if k <= 1:
-        return ("",) if (k == 0 or n > 0) else ()
+    if k == 0:
+        return ("",)
     cost = comb(n, k) * comb(k, 2)
     if cost > PAIR_BUDGET:
         raise InfeasibleSizeError(
             f"enumerating C({n},{k}) subsets needs ~{cost} pair extractions, "
             f"over the budget of {PAIR_BUDGET}"
         )
-    adj = _adjacency(host, n)
-    codes_seen: set[int] = set()
-    it = combinations(range(n), k)
-    chunk_size = 200_000
-    while True:
-        chunk = list(islice(it, chunk_size))
-        if not chunk:
-            break
-        codes = _gather_codes(adj, np.array(chunk, dtype=np.intp))
-        codes_seen.update(np.unique(codes).tolist())
-    lines = {canonical_form(Tournament(k, int(c))).bits for c in codes_seen}
+    out = host.out_masks
+    # Subsets grow by prepending vertices in decreasing order, so each new
+    # vertex's row goes in front of the code.  A state is (the subset's
+    # least vertex, its row-major code, rel), where bit a of rel[w] says
+    # w -> the subset's a-th vertex, for each w below the subset: the
+    # completions' codes depend on nothing else, so one copy is kept.
+    states = {(n, 0, (0,) * n)}
+    for j in range(k - 1):
+        grown = set()
+        for least, code, rel in states:
+            for w in range(k - 1 - j, least):
+                grown.add((
+                    w,
+                    code << j | rel[w],
+                    tuple([r << 1 | (out[u] >> w & 1) for u, r in enumerate(rel[:w])]),
+                ))
+        states = grown
+    codes_seen = {code << (k - 1) | r for _, code, rel in states for r in set(rel)}
+    lines = {canonical_form(Tournament(k, c)).bits for c in codes_seen}
     return tuple(sorted(lines))
 
 
@@ -603,7 +593,8 @@ def property_slope(
     table: SpeedTable, n_lo: int, n_hi: int
 ) -> float:
     """Least-squares log-log growth slope of the level counts."""
+    from statistics import linear_regression  # pulls in decimal: imported on use
+
     ns = [n for n in range(n_lo, n_hi + 1) if table.count(n) > 0]
-    xs = np.log(np.array(ns, dtype=float))
-    ys = np.log(np.array([table.count(n) for n in ns], dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    fit = linear_regression([log(n) for n in ns], [log(table.count(n)) for n in ns])
+    return fit.slope

@@ -45,11 +45,7 @@ class StructureWitness:
         if len(set(a)) != len(a):
             return False
         if self.kind == "transitive":
-            return all(
-                host.beats(a[i], a[j])
-                for i in range(len(a))
-                for j in range(i + 1, len(a))
-            )
+            return _is_chain(host, a)
         if self.kind in ("type1-flavorA", "type1-flavorB"):
             k2 = len(a) - 1
             if k2 < 2 or k2 % 2:
@@ -150,23 +146,25 @@ def _embed(
     tout = t.out_masks
     full = (1 << n) - 1
     tin = [full ^ o ^ (1 << v) for v, o in enumerate(tout)]
+    # below[r]: r's fixed earlier neighbours
+    below = [care[r] & ((1 << r) - 1) for r in range(k)]
     # steps[r]: (host masks by vertex, q) for each fixed earlier neighbour q
     # of r; r's image lies in masks[image of q]
     steps = [
-        [(tin if pout[r] >> q & 1 else tout, q) for q in range(r) if care[r] >> q & 1]
-        for r in range(k)
+        [(tin if pout[r] >> q & 1 else tout, q) for q in range(r) if b >> q & 1]
+        for r, b in enumerate(below)
     ]
-
-    def fixed(r: int, j: int) -> tuple[int, int]:
-        """r's fixed pairs with the vertices before j, and which r beats."""
-        below = care[r] & ((1 << j) - 1)
-        return below, pout[r] & below
-
-    twins = [sum(fixed(r, p) == fixed(p, p) for r in range(p, k)) for p in range(k)]
+    # fixed[r]: below[r] and, k bits up, which of those r beats
+    fixed = [b | (pout[r] & b) << k for r, b in enumerate(below)]
+    twins = []
+    for p in range(k):
+        before = ((1 << p) - 1) * (1 | 1 << k)  # fixed's bits for the vertices before p
+        twins.append(sum(fixed[r] & before == fixed[p] for r in range(p, k)))
     # settled[p]: the r > p whose last fixed earlier neighbour is p - 1
-    settled = [
-        [r for r in range(p + 1, k) if fixed(r, r)[0].bit_length() == p] for p in range(k)
-    ]
+    settled: list[list[int]] = [[] for _ in range(k)]
+    for r, b in enumerate(below):
+        if b.bit_length() < r:
+            settled[b.bit_length()].append(r)
 
     def allowed(r: int) -> int:
         d = free

@@ -158,6 +158,14 @@ def brute_first_embedding(t: Tournament, h: Tournament) -> tuple[int, ...] | Non
     return None
 
 
+def brute_sub_classes(t: Tournament, k: int) -> tuple[str, ...]:
+    """Sorted canonical lines of the k-vertex induced sub-tournaments, one
+    canonical_form per subset."""
+    return tuple(sorted({
+        canonical_form(t.induced(s)).bits for s in combinations(range(t.n), k)
+    }))
+
+
 def brute_canonical_codes(n: int) -> list[int]:
     """Entry c: the least labelled code over the relabellings of code c.
 
@@ -400,9 +408,9 @@ def unfiltered_avoidance_forms(
         nxt = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
-            rejected = _rejected_masks(base, forb_frozen).tolist()
+            rejected = _rejected_masks(base, forb_frozen)
             for mask in range(1 << k):
-                if not rejected[mask]:
+                if not rejected >> mask & 1:
                     nxt.add(canonical_form(extension(base, mask)).bits)
         levels[k + 1] = nxt
     return {n: tuple(sorted(v)) for n, v in levels.items() if n <= n_max}

@@ -192,6 +192,20 @@ def test_python_m_tourneykit(capsys, flags):
     assert proc.stdout == out
 
 
+def test_library_imports_without_numpy():
+    src = str(Path(tourneykit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, tourneykit, tourneykit.cli, tourneykit.verify; "
+            "print('numpy' in sys.modules)",
+        ],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_verify_pass_and_reproducible(capsys):
     code, out1, err = _run(capsys, ["verify", "olarge", "--n-max", "12"])
     assert code == 0
@@ -377,6 +391,33 @@ def test_gen_random_size_cap(tmp_path, capsys):
         capsys, ["gen", "random", str(RANDOM_MAX_N + 1), "-o", str(path)]
     )
     assert code == 3
+    assert "infeasible" in err and str(RANDOM_MAX_N) in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["T", ",".join(["3"] * 683)],
+        ["M", "1,0,1", "683"],
+        ["Mk", "3", "3000"],
+        ["cyclic", "5000"],
+        ["TS", "3000"],
+        ["Tstar", "2049"],
+        ["type1", "1024", "1"],
+        ["moon", "7"],
+        ["moon", "100000000"],
+        ["blowup", "900,900,900"],
+    ],
+    ids=lambda p: p[0] + ("-huge" if p[-1] == "100000000" else ""),
+)
+def test_gen_size_cap_covers_every_family(tmp_path, capsys, params):
+    from tourneykit.cli import RANDOM_MAX_N
+
+    path = tmp_path / "t.trn"
+    code, out, err = _run(capsys, ["gen", *params, "-o", str(path)])
+    assert code == 3
+    assert out == ""
     assert "infeasible" in err and str(RANDOM_MAX_N) in err
     assert not path.exists()
 

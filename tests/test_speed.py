@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from math import ceil, comb
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_seeds_t_family_table, unpruned_hereditary_closure
+from oracles import all_seeds_t_family_table, brute_sub_classes, unpruned_hereditary_closure
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
@@ -28,6 +29,7 @@ from tourneykit import (
     distinct_sub_classes,
     fstar,
     hereditary_closure,
+    make_M,
     make_T,
     make_cyclic,
     make_cyclic_blowup,
@@ -257,6 +259,25 @@ class TestSubCounting:
     def test_pair_budget(self):
         with pytest.raises(InfeasibleSizeError):
             distinct_sub_classes(make_cyclic(30), 15)
+
+    @pytest.mark.parametrize("flags", list(product((0, 1), repeat=3)))
+    def test_matches_subset_scan_on_flag_hosts(self, flags):
+        # equal partial states are common on flag hosts, so dedup is exercised
+        for m in range(1, 5):
+            host = make_M(flags, m)
+            for k in range(8):
+                assert distinct_sub_classes(host, k) == brute_sub_classes(host, k), (m, k)
+
+    @given(
+        st.integers(1, 12).flatmap(lambda n: st.tuples(
+            st.integers(0, 2**32).map(lambda seed: random_tournament(n, seed)),
+            st.integers(0, n),
+        ))
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_subset_scan_on_random_hosts(self, case):
+        host, k = case
+        assert distinct_sub_classes(host, k) == brute_sub_classes(host, k)
 
     def test_cyclic_small(self):
         assert count_cyclic_subs(1) == 1
