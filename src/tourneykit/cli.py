@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from math import inf
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -55,9 +56,10 @@ FAMILIES = {
     "TS": (1, lambda p: int(p[0])),
     "Tstar": (1, lambda p: int(p[0])),
     "type1": (1, lambda p: 2 * int(p[0]) + 1),
-    # 3^7 is over the cap already; a huge level's power would take minutes
-    "moon": (1, lambda p: 3 ** min(int(p[0]), 7)),
-    "blowup": (1, lambda p: sum(_csv_ints(p[0]))),
+    # inf past level 7, as 3^7 is over the cap: 3 ** level of a huge level takes minutes
+    "moon": (1, lambda p: 3 ** int(p[0]) if int(p[0]) <= 7 else inf),
+    # the cyclic quotient on one vertex per block is built too
+    "blowup": (1, lambda p: max(sum(s := _csv_ints(p[0])), len(s))),
     "random": (1, lambda p: int(p[0])),
 }
 
@@ -92,8 +94,10 @@ def _gen(args) -> int:
     arity, size = FAMILIES[fam]
     if len(params) < arity:
         raise ValueError("missing family parameters")
-    if size(params) > RANDOM_MAX_N:
-        raise InfeasibleSizeError(f"gen {fam} is capped at {RANDOM_MAX_N} vertices")
+    n = size(params)
+    if n > RANDOM_MAX_N:
+        raise InfeasibleSizeError(f"gen {fam} is capped at {RANDOM_MAX_N} vertices, got {n}")
+    opt = params[1:] + ["", ""]  # the optional parameters, "" when not given
     if fam == "T":
         t = make_T(_csv_ints(params[0]))
     elif fam == "M":
@@ -101,23 +105,20 @@ def _gen(args) -> int:
     elif fam == "Mk":
         t = make_M_general(int(params[0]), int(params[1]))
     elif fam == "cyclic":
-        t = make_cyclic(int(params[0]))
+        t = make_cyclic(n)
     elif fam == "TS":
-        s = _csv_ints(params[1]) if len(params) > 1 else []
-        t = make_TS(int(params[0]), s)
+        t = make_TS(n, _csv_ints(opt[0]))
     elif fam == "Tstar":
-        n = int(params[0])
-        s = tuple(_csv_ints(params[1])) if len(params) > 1 else ()
-        sigma = tuple(_csv_ints(params[2])) if len(params) > 2 else ()
+        s, sigma = tuple(_csv_ints(opt[0])), tuple(_csv_ints(opt[1]))
         t = make_Tstar(ReversalSpec(n, s, sigma))
     elif fam == "type1":
-        t = make_type1(int(params[0]), int(params[1]) if len(params) > 1 else 1)
+        t = make_type1(int(params[0]), int(opt[0]) if opt[0] else 1)
     elif fam == "moon":
         t = make_moon_tower(int(params[0]))
     elif fam == "blowup":
         t = make_cyclic_blowup(_csv_ints(params[0]))
     else:  # random
-        t = random_tournament(int(params[0]), args.seed)
+        t = random_tournament(n, args.seed)
     text = t.to_trn()
     if args.output:
         Path(args.output).write_text(text)
@@ -206,6 +207,7 @@ def _subcount(args) -> int:
         return EXIT_USAGE
     else:
         flags = tuple(_csv_ints(args.flags))
+        result = {"n": args.n, "flags": list(flags)}
         if args.scan is not None:
             values, stable = count_sub_L_scan(flags, args.n, m_max=args.scan)
             if args.csv:
@@ -213,19 +215,11 @@ def _subcount(args) -> int:
                 for m, c in values:
                     print(f"{m},{c}")
                 return EXIT_OK
-            result = {
-                "n": args.n,
-                "flags": list(flags),
-                "values": [{"m": m, "count": c} for m, c in values],
-                "stabilized_m": stable,
-            }
+            result["values"] = [{"m": m, "count": c} for m, c in values]
+            result["stabilized_m"] = stable
         else:
-            result = {
-                "n": args.n,
-                "flags": list(flags),
-                "m": args.m,
-                "count": count_sub_L(flags, args.n, args.m),
-            }
+            result["m"] = args.m
+            result["count"] = count_sub_L(flags, args.n, args.m)
     _emit(result)
     return EXIT_OK
 

@@ -279,16 +279,14 @@ def _least_invariant_masks(base: Tournament, masks: Iterable[int]) -> list[int]:
     the new vertex k lex-least under (out-degree, sum of its
     out-neighbours' out-degrees), ties included.
 
-    Bit i of an extension mask m is set when k -> i.  In that extension k
-    has out-degree D = popcount(m) and beats the base vertices i with bit
-    i set, whose out-degrees deg_base(i) sum to S; base vertex i has
-    out-degree deg_base(i) + 1 - bit_i(m), beats its base out-neighbours
-    j, of out-degree deg_base(j) + 1 - bit_j(m), and beats k when bit i
-    is clear.  k passes when every base vertex has a greater out-degree
-    than D, or out-degree D and a sum of at least S.  A base vertex falls
+    Bit i of a mask m is set when k -> i: k has out-degree D = popcount(m)
+    and base vertex i has deg_base(i) + 1 - bit_i(m).  Base vertex i falls
     below D when deg_base(i) < D - 1, or deg_base(i) = D - 1 and bit i is
     set; it ties D when deg_base(i) = D - 1 and bit i is clear, or
-    deg_base(i) = D and bit i is set.
+    deg_base(i) = D and bit i is set.  k passes when none falls below and
+    each tied one has a sum of at least k's, the sum of deg_base(j) over
+    the set bits j.  A tied vertex's sum is its sum at mask 0, less one for
+    each out-neighbour j with bit j set, plus D when it beats k.
     """
     k = base.n
     out = base.out_masks
@@ -386,9 +384,12 @@ def fstar(n: int) -> int:
 def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
     """Sorted canonical lines of the k-vertex induced sub-tournaments.
 
-    Grows the subsets one vertex at a time, keeping one copy of each
-    partial state that its completions depend on, then canonicalises the
-    distinct labelled codes only.
+    Subsets grow by prepending vertices in decreasing order, so each new
+    vertex's row goes in front of the code.  A state is (the subset's
+    least vertex, its row-major code, rel), where bit a of rel[w] says
+    w -> the subset's a-th vertex, for each w below the subset: the
+    completions' codes depend on nothing else, so one copy of each state
+    is kept.  Only the distinct labelled codes are canonicalised.
     """
     n = host.n
     if k < 0 or k > n:
@@ -402,23 +403,21 @@ def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
             f"over the budget of {PAIR_BUDGET}"
         )
     out = host.out_masks
-    # Subsets grow by prepending vertices in decreasing order, so each new
-    # vertex's row goes in front of the code.  A state is (the subset's
-    # least vertex, its row-major code, rel), where bit a of rel[w] says
-    # w -> the subset's a-th vertex, for each w below the subset: the
-    # completions' codes depend on nothing else, so one copy is kept.
     states = {(n, 0, (0,) * n)}
     for j in range(k - 1):
-        grown = set()
-        for least, code, rel in states:
-            for w in range(k - 1 - j, least):
-                grown.add((
-                    w,
-                    code << j | rel[w],
-                    tuple([r << 1 | (out[u] >> w & 1) for u, r in enumerate(rel[:w])]),
-                ))
-        states = grown
-    codes_seen = {code << (k - 1) | r for _, code, rel in states for r in set(rel)}
+        grown = (
+            (
+                w,
+                code << j | rel[w],
+                tuple([r << 1 | (out[u] >> w & 1) for u, r in enumerate(rel[:w])]),
+            )
+            for least, code, rel in states
+            for w in range(k - 1 - j, least)
+        )
+        # the last level is streamed into the codes below (j is still k - 2),
+        # not kept: where states collapse little it is the largest level
+        states = grown if j == k - 2 else set(grown)
+    codes_seen = {code << (k - 1) | r for _, code, rel in states for r in rel}
     lines = {canonical_form(Tournament(k, c)).bits for c in codes_seen}
     return tuple(sorted(lines))
 
@@ -589,12 +588,15 @@ def all_classes(n_max: int) -> SpeedTable:
     return avoidance_closure([], n_max, seed_description="all tournaments")
 
 
-def property_slope(
-    table: SpeedTable, n_lo: int, n_hi: int
-) -> float:
-    """Least-squares log-log growth slope of the level counts."""
+def property_slope(table: SpeedTable, n_lo: int, n_hi: int) -> float:
+    """Least-squares log-log growth slope of the non-zero level counts; it
+    needs two of them (ValueError otherwise)."""
     from statistics import linear_regression  # pulls in decimal: imported on use
 
     ns = [n for n in range(n_lo, n_hi + 1) if table.count(n) > 0]
+    if len(ns) < 2:
+        raise ValueError(
+            f"levels {n_lo}..{n_hi} hold {len(ns)} non-zero counts; a slope needs two"
+        )
     fit = linear_regression([log(n) for n in ns], [log(table.count(n)) for n in ns])
     return fit.slope

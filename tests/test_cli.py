@@ -396,22 +396,27 @@ def test_gen_random_size_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, n",
     [
-        ["T", ",".join(["3"] * 683)],
-        ["M", "1,0,1", "683"],
-        ["Mk", "3", "3000"],
-        ["cyclic", "5000"],
-        ["TS", "3000"],
-        ["Tstar", "2049"],
-        ["type1", "1024", "1"],
-        ["moon", "7"],
-        ["moon", "100000000"],
-        ["blowup", "900,900,900"],
+        (["T", ",".join(["3"] * 683)], 2049),
+        (["M", "1,0,1", "683"], 2049),
+        (["Mk", "3", "3000"], 9000),
+        (["cyclic", "5000"], 5000),
+        (["TS", "3000"], 3000),
+        (["Tstar", "2049"], 2049),
+        (["type1", "1024", "1"], 2049),
+        (["moon", "7"], 2187),
+        (["moon", "100000000"], "inf"),
+        (["blowup", "900,900,900"], 2700),
+        (["blowup", ",".join(["0"] * 2049)], 2049),
+        (["blowup", ",".join(["1"] * 1024 + ["0"] * 1025)], 2049),
     ],
-    ids=lambda p: p[0] + ("-huge" if p[-1] == "100000000" else ""),
+    ids=[
+        "T", "M", "Mk", "cyclic", "TS", "Tstar", "type1", "moon", "moon-huge",
+        "blowup", "blowup-empty-blocks", "blowup-some-empty-blocks",
+    ],
 )
-def test_gen_size_cap_covers_every_family(tmp_path, capsys, params):
+def test_gen_size_cap_covers_every_family(tmp_path, capsys, params, n):
     from tourneykit.cli import RANDOM_MAX_N
 
     path = tmp_path / "t.trn"
@@ -419,6 +424,7 @@ def test_gen_size_cap_covers_every_family(tmp_path, capsys, params):
     assert code == 3
     assert out == ""
     assert "infeasible" in err and str(RANDOM_MAX_N) in err
+    assert f"got {n}" in err
     assert not path.exists()
 
 

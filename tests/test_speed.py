@@ -372,6 +372,15 @@ class TestDichotomyAtDeskScale:
                 for n in range(5, hi + 1):
                     assert table.count(n) >= fstar(n), (name, n)
 
+    def test_slope_needs_two_levels(self):
+        from tourneykit import property_slope
+
+        table = hereditary_closure([transitive(13)], 12)
+        assert property_slope(table, 6, 7) == pytest.approx(0.0)
+        for lo, hi in ((6, 6), (13, 20)):
+            with pytest.raises(ValueError, match="a slope needs two"):
+                property_slope(table, lo, hi)
+
     def test_cyclic_n4_exception(self):
         table = hereditary_closure([make_cyclic(m) for m in range(1, 17)], 4)
         assert table.count(4) == 2 < fstar(4)
