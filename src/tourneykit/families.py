@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tournament import Tournament
+from .tournament import InfeasibleSizeError, Tournament
 
-MAX_TOWER_VERTICES = 243
+MAX_TOWER_LEVEL = 5
+MAX_TOWER_VERTICES = 3**MAX_TOWER_LEVEL  # 243
 
 
 class FamilyMembershipError(ValueError):
@@ -311,9 +312,10 @@ def make_moon_tower(level: int) -> Tournament:
     level cycles three copies of the previous one (U -> V -> W -> U)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    if 3**level > MAX_TOWER_VERTICES:
-        raise ValueError(
-            f"tower on {3 ** level} vertices exceeds the bound {MAX_TOWER_VERTICES}"
+    if level > MAX_TOWER_LEVEL:  # before any power: 3**level of a huge level hangs
+        raise InfeasibleSizeError(
+            f"towers above level {MAX_TOWER_LEVEL} have {3 ** (MAX_TOWER_LEVEL + 1)} or "
+            f"more vertices, over the bound {MAX_TOWER_VERTICES}; got level {level}"
         )
     cur = make_T((3,))
     for _ in range(level - 1):

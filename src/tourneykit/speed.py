@@ -1,7 +1,7 @@
 """Hereditary-closure enumeration and unlabelled sub-tournament counting.
 
 Two enumeration strategies back the speed tables.  Both keep levels as
-canonical codes and render each level once, at the end, as sorted lines.
+canonical codes, and so does a SpeedTable: only its forms are lines.
 
 * deletion BFS (hereditary_closure): start from the canonical forms of
   large seed tournaments and repeatedly delete single vertices with
@@ -68,7 +68,6 @@ from .tournament import (
     bits_to_line,
     bits_to_out_masks,
     concat,
-    line_to_bits,
     pair_count,
 )
 
@@ -84,50 +83,57 @@ class BudgetExceededError(InfeasibleSizeError):
 
 @dataclass
 class SpeedTable:
-    """Canonical forms of the n-vertex members of a property, per level."""
+    """Canonical codes of the n-vertex members of a property, per level."""
 
     seed: str
-    forms: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    codes: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def count(self, n: int) -> int:
-        return len(self.forms.get(n, ()))
+        return len(self.codes.get(n, ()))
 
     @property
     def counts(self) -> dict[int, int]:
-        return {n: len(v) for n, v in sorted(self.forms.items())}
+        return {n: len(self.codes[n]) for n in self.levels()}
 
     def levels(self) -> list[int]:
-        return sorted(self.forms)
+        return sorted(self.codes)
+
+    @property
+    def forms(self) -> dict[int, tuple[str, ...]]:
+        """Sorted canonical lines of each level, rendered on each call."""
+        return {
+            n: tuple(sorted(bits_to_line(n, c) for c in codes))
+            for n, codes in sorted(self.codes.items())
+        }
 
     def members(self, n: int) -> list[Tournament]:
-        return [Tournament(n, line_to_bits(line)) for line in self.forms.get(n, ())]
+        """Canonical representatives of level n, in ascending code order."""
+        return [Tournament(n, c) for c in sorted(self.codes.get(n, ()))]
 
     def to_json(self, include_forms: bool = False) -> str:
-        levels = {}
-        for n in self.levels():
-            entry: dict = {"count": len(self.forms[n])}
-            if include_forms:
-                entry["forms"] = list(self.forms[n])
-            levels[str(n)] = entry
+        levels = {str(n): {"count": c} for n, c in self.counts.items()}
+        if include_forms:
+            for n, lines in self.forms.items():
+                levels[str(n)]["forms"] = lines
         return json.dumps(
             {"seed": self.seed, "levels": levels}, sort_keys=True, indent=2
         )
 
     def to_csv(self) -> str:
         lines = ["n,count"]
-        lines += [f"{n},{len(self.forms[n])}" for n in self.levels()]
+        lines += [f"{n},{c}" for n, c in self.counts.items()]
         return "\n".join(lines) + "\n"
 
     def is_downward_closed(self) -> bool:
         """Every one-vertex deletion of a member appears one level down
         (checked wherever the lower level is recorded)."""
         for n in self.levels():
-            if n - 1 not in self.forms:
+            lower = self.codes.get(n - 1)
+            if lower is None:
                 continue
-            lower = set(self.forms[n - 1])
-            for t in self.members(n):
+            for c in self.codes[n]:
                 for v in range(n):
-                    if canonical_form(t.delete(v)).bits not in lower:
+                    if _canon_code(n - 1, _delete_bits(n, c, v)) not in lower:
                         return False
         return True
 
@@ -149,18 +155,6 @@ class _Budget:
                 f"building level {level} ({kept} classes kept so far); "
                 f"partial results discarded"
             )
-
-
-def _render(levels: dict, n_max: int) -> dict[int, tuple[str, ...]]:
-    """Sorted lines of each level up to n_max.  Each level is emptied first,
-    so its set or dict is freed before its lines are made."""
-    forms = {}
-    for n, level in levels.items():
-        codes = list(level)
-        level.clear()
-        if n <= n_max:
-            forms[n] = tuple(sorted(bits_to_line(n, c) for c in codes))
-    return forms
 
 
 def hereditary_closure(
@@ -219,8 +213,9 @@ def hereditary_closure(
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
-        forms=_render(levels, n_max),
+        codes={n: frozenset(lv) for n, lv in sorted(levels.items()) if n <= n_max},
     )
+    del levels  # frees automorphisms and levels above n_max before the self-check
     if not table.is_downward_closed():
         raise AssertionError(
             "self-check failed: a one-vertex deletion of a closure member "
@@ -333,9 +328,9 @@ def avoidance_closure(
         forb[h.n] = forb.get(h.n, frozenset()) | {_canon_code(h.n, h.bits)}
 
     budget = _Budget(mem_budget, "avoidance closure")
-    levels: dict[int, set[int]] = {1: set()}
+    levels: dict[int, frozenset[int]] = {1: frozenset()}
     if 1 not in forb:
-        levels[1].add(_canon_code(1, 0))
+        levels[1] = frozenset({_canon_code(1, 0)})
         budget.charge(1, 1)
     for k in range(1, n_max):
         nxt: set[int] = set()
@@ -361,12 +356,12 @@ def avoidance_closure(
                 if cc not in nxt:
                     nxt.add(cc)
                     budget.charge(k + 1, len(nxt))
-        levels[k + 1] = nxt
+        levels[k + 1] = frozenset(nxt)
 
     desc = seed_description or (
         "avoid " + ",".join(sorted(f"{h.n}:{canonical_form(h).bits}" for h in forbidden))
     )
-    return SpeedTable(seed=desc, forms=_render(levels, n_max))
+    return SpeedTable(seed=desc, codes={n: c for n, c in levels.items() if n <= n_max})
 
 
 def fstar(n: int) -> int:
@@ -418,13 +413,15 @@ def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
         # not kept: where states collapse little it is the largest level
         states = grown if j == k - 2 else set(grown)
     codes_seen = {code << (k - 1) | r for _, code, rel in states for r in rel}
-    lines = {canonical_form(Tournament(k, c)).bits for c in codes_seen}
-    return tuple(sorted(lines))
+    classes = {_canon_code(k, c) for c in codes_seen}
+    return tuple(sorted(bits_to_line(k, c) for c in classes))
 
 
 def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
     """Number of distinct n-vertex sub-tournaments of the 3m-vertex layered
     flag tournament."""
+    if n < 0:
+        raise ValueError(f"sub-tournament size must be non-negative, got {n}")
     if 3 * m < n:
         raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
     return len(distinct_sub_classes(make_M(flags, m), n))
@@ -482,14 +479,14 @@ def type1_tn_classes(n: int) -> int:
         raise ValueError("n must be >= 2")
     t = make_type1(n, 1)
     y = 2 * n
-    lines = set()
+    codes = set()
     for bits in range(1 << (n - 1)):
         subset = [y]
         for i1 in range(1, n):
             picked = 2 * i1 - 2 if (bits >> (i1 - 1)) & 1 else 2 * i1 - 1
             subset.append(picked)
-        lines.add(canonical_form(t.induced(subset)).bits)
-    return len(lines)
+        codes.add(_canon_code(n, t.induced(subset).bits))
+    return len(codes)
 
 
 @dataclass(frozen=True)
@@ -565,11 +562,11 @@ def check_supermultiplicative(
         for n in range(1, depth - m + 1):
             cm, cn, cmn = table.count(m), table.count(n), table.count(m + n)
             inequalities.append((m, n, cm * cn, cmn, cmn >= cm * cn))
-            target = set(table.forms.get(m + n, ()))
-            seen: set[str] = set()  # each (m, n) pair of members is met once
+            target = table.codes.get(m + n, frozenset())
+            seen: set[int] = set()  # each (m, n) pair of members is met once
             for g1 in table.members(m):
                 for g2 in table.members(n):
-                    w = canonical_form(concat(g1, g2)).bits
+                    w = _canon_code(m + n, concat(g1, g2).bits)
                     if w not in target:
                         witness_failures.append(
                             f"concat of ({m},{n}) pair lands outside level {m + n}"

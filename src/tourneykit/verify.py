@@ -14,7 +14,7 @@ from math import ceil, comb
 from typing import Callable, Iterator
 
 from .blocks import block_count
-from .canon import automorphism_order, canonical_form
+from .canon import automorphism_order, canonical_code
 from .families import (
     make_M,
     make_T,
@@ -286,16 +286,16 @@ def verify_osmall() -> VerifyReport:
     cases.append(
         Case("(d) cyclic family n=4", cyc.count(4), "== 2", cyc.count(4) == 2)
     )
-    t5 = set(
-        canonical_form(make_T(seq)).bits
+    t5 = {
+        canonical_code(5, make_T(seq).bits)
         for seq in composition_seqs(5)
         if sum(seq) == 5
-    )
+    }
     for flavor in (0, 1):
         tab = hereditary_closure(
             [make_type1(3, flavor)], 5, seed_description=f"type1(3,{flavor})"
         )
-        lvl5 = set(tab.forms.get(5, ()))
+        lvl5 = tab.codes.get(5, frozenset())
         cases.append(
             Case(
                 f"(b) type1(3,{flavor}) n=5",

@@ -170,6 +170,26 @@ def test_subcount_scan_below_first_host_is_usage_error(capsys, scan):
     assert "below the first host size" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--m", "1"], ["--scan", "3"], ["--scan", "3", "--csv"]],
+    ids=["m", "scan", "scan-csv"],
+)
+def test_subcount_negative_n_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, ["subcount", "--flags", "1,1,1", "--n", "-2", *argv])
+    assert code == 2
+    assert out == ""
+    assert "sub-tournament size must be non-negative, got -2" in err
+
+
+def test_gen_moon_past_the_tower_bound_is_infeasible(tmp_path, capsys):
+    path = tmp_path / "t.trn"
+    code, out, err = _run(capsys, ["gen", "moon", "6", "-o", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "infeasible" in err and "729" in err and "243" in err
+    assert not path.exists()
+
+
 def test_subcount_scan_to_first_host(capsys):
     code, out, _ = _run(
         capsys, ["subcount", "--flags", "1,1,1", "--n", "5", "--scan", "2"]

@@ -20,7 +20,6 @@ from tourneykit import (
     make_T,
     make_cyclic,
 )
-from tourneykit.tournament import line_to_bits
 from tourneykit.verify import cyclic_family_table, t_family_table
 
 # OEIS A000568, n = 0..12
@@ -77,7 +76,7 @@ class TestLabelledIdentity:
         table = build()
         for n in range(1, 7):
             least = brute_canonical_codes(n)
-            level = {least[line_to_bits(line)] for line in table.forms[n]}
+            level = {least[c] for c in table.codes[n]}
             members = sum(1 for c in least if c in level)
             assert labelled_total(table, n) == members, n
 
@@ -89,7 +88,7 @@ class TestAvoidCyclic4:
 
     def test_levels_equal_the_stacked_family(self, avoid_c4):
         for n in range(1, 12):
-            assert set(avoid_c4.forms[n]) == set(t_family_table(n + 3, n).forms[n]), n
+            assert avoid_c4.codes[n] == t_family_table(n + 3, n).codes[n], n
 
     def test_inverse_automorphism_sum(self, avoid_c4):
         g = [Fraction(1)] * 3  # g(0), g(1), g(2)

@@ -1,12 +1,14 @@
 """Generators for the named families and their reconstruction inverses."""
 
 import random
+import time
 from itertools import permutations
 
 import pytest
 
 from tourneykit import (
     FamilyMembershipError,
+    InfeasibleSizeError,
     ReversalSpec,
     Tournament,
     canonical_form,
@@ -25,6 +27,7 @@ from tourneykit import (
     reconstruct_S,
     reconstruct_seq,
 )
+from tourneykit.families import MAX_TOWER_LEVEL, MAX_TOWER_VERTICES
 from tourneykit.verify import composition_seqs
 
 ALL_FLAGS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
@@ -281,8 +284,15 @@ class TestMoonTower:
         assert make_moon_tower(3).induced(range(9)) == make_moon_tower(2)
 
     def test_size_bound(self):
-        with pytest.raises(ValueError):
-            make_moon_tower(6)
+        assert make_moon_tower(MAX_TOWER_LEVEL).n == MAX_TOWER_VERTICES == 243
+        with pytest.raises(InfeasibleSizeError, match="729 or more vertices, over the bound 243"):
+            make_moon_tower(MAX_TOWER_LEVEL + 1)
+
+    def test_huge_level_refused_before_any_power(self):
+        start = time.monotonic()
+        with pytest.raises(InfeasibleSizeError, match="got level 100000000"):
+            make_moon_tower(10**8)
+        assert time.monotonic() - start < 1.0
 
 
 class TestCyclicBlowup:

@@ -17,11 +17,13 @@ from oracles import all_seeds_t_family_table, brute_sub_classes, unpruned_heredi
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
+    SpeedTable,
     Tournament,
     avoidance_closure,
     canonical_form,
     check_olarge,
     check_supermultiplicative,
+    concat,
     count_cyclic_subs,
     count_sub_L,
     count_sub_L_scan,
@@ -93,6 +95,13 @@ class TestHereditaryClosure:
     def test_downward_closed(self):
         table = hereditary_closure([make_cyclic(7), transitive(6)], 7)
         assert table.is_downward_closed()
+
+    def test_downward_closed_fails_with_a_class_missing(self):
+        table = hereditary_closure([make_cyclic(7), transitive(6)], 7)
+        # every level-4 class is a deletion of some level-5 member
+        for code in table.codes[4]:
+            codes = {**table.codes, 4: table.codes[4] - {code}}
+            assert not SpeedTable(table.seed, codes).is_downward_closed(), code
 
     def test_seed_bound(self):
         with pytest.raises(InfeasibleSizeError):
@@ -239,6 +248,12 @@ class TestSubCounting:
     def test_single_vertex_level(self):
         assert count_sub_L((0, 1, 0), 1, 4) == 1
 
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError, match="must be non-negative, got -2"):
+            count_sub_L((1, 1, 1), -2, 1)
+        with pytest.raises(ValueError, match="must be non-negative, got -2"):
+            count_sub_L_scan((1, 1, 1), -2, m_max=3)
+
     def test_all_ones_equals_fstar(self):
         for n in range(1, 8):
             values, stable = count_sub_L_scan((1, 1, 1), n)
@@ -326,6 +341,16 @@ class TestCountingChecks:
         # the strong-connectivity check always runs, so the patterns are required
         with pytest.raises(TypeError):
             check_supermultiplicative(avoidance_closure([make_cyclic(4)], 5))
+
+    def test_supermultiplicative_finds_a_missing_concatenation(self):
+        c4 = make_cyclic(4)
+        table = avoidance_closure([c4], 5)
+        w = canonical_form(concat(make_T((1,)), make_T((3,)))).to_tournament().bits
+        assert w in table.codes[4]
+        codes = {**table.codes, 4: table.codes[4] - {w}}
+        report = check_supermultiplicative(SpeedTable(table.seed, codes), forbidden=[c4])
+        assert not report.passed
+        assert "concat of (1,3) pair lands outside level 4" in report.witness_failures
 
     def test_supermultiplicative_cyclic4(self):
         c4 = make_cyclic(4)
