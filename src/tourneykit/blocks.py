@@ -6,17 +6,18 @@ induce a transitive tournament, and every vertex outside C sees all of C
 uniformly.  Blocks are the equivalence classes of this relation.
 
 The relation is proved transitive, but decompose() does not assume it:
-pairs are computed individually, closed by union-find, and the pairwise
-relation is re-checked inside every class; a violation aborts loudly.
+pairs are computed individually, each block is read off the homogeneous
+set of its least vertex, and every member's set must equal the block; a
+violation aborts loudly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .tournament import Tournament
+from .tournament import Tournament, _transitive_on
 
 if TYPE_CHECKING:  # pragma: no cover
     from .speed import SpeedTable
@@ -46,16 +47,29 @@ class BlockDecomposition:
     sequence: tuple[int, ...]
 
 
-def _middle_transitive(t: Tournament, mask: int) -> bool:
-    out = t.out_masks
-    degs = []
-    m = mask
+def _homogeneous(out: Sequence[int], u: int, v: int) -> int:
+    """C(u, v) as a vertex mask when the pair {u, v} of the tournament
+    with out-masks ``out`` is homogeneous, else 0.  Unchecked: u and v
+    are assumed to be vertices; for u == v the mask is {u}."""
+    if u == v:
+        return 1 << u
+    if not out[u] >> v & 1:
+        u, v = v, u
+    mid = out[u] & ~out[v] & ~(1 << v)  # u -> w -> v
+    cmask = mid | (1 << u) | (1 << v)
+    if not _transitive_on(out, mid):
+        return 0
+    # every vertex outside C must beat all of C or be beaten by all of it
+    full = (1 << len(out)) - 1
+    above = below = full
+    m = cmask
     while m:
-        b = m & -m
-        m ^= b
-        degs.append((out[b.bit_length() - 1] & mask).bit_count())
-    degs.sort()
-    return degs == list(range(len(degs)))
+        low = m & -m
+        m ^= low
+        o = out[low.bit_length() - 1]
+        above &= ~o
+        below &= o
+    return cmask if above | below | cmask == full else 0
 
 
 def is_homogeneous_pair(t: Tournament, u: int, v: int) -> frozenset[int] | None:
@@ -66,86 +80,50 @@ def is_homogeneous_pair(t: Tournament, u: int, v: int) -> frozenset[int] | None:
     """
     t._check_vertex(u)
     t._check_vertex(v)
-    if u == v:
-        return frozenset((u,))
-    if not t.beats(u, v):
-        u, v = v, u
-    out = t.out_masks
-    n = t.n
-    full = (1 << n) - 1
-    in_v = full ^ out[v] ^ (1 << v)
-    mid = out[u] & in_v
-    cmask = mid | (1 << u) | (1 << v)
-    if mid and not _middle_transitive(t, mid):
-        return None
-    rest = full ^ cmask
-    m = rest
-    while m:
-        b = m & -m
-        m ^= b
-        ox = out[b.bit_length() - 1] & cmask
-        if ox != 0 and ox != cmask:
-            return None
-    return frozenset(i for i in range(n) if (cmask >> i) & 1)
+    cmask = _homogeneous(t.out_masks, u, v)
+    return frozenset(i for i in range(t.n) if cmask >> i & 1) if cmask else None
 
 
 def decompose(t: Tournament) -> BlockDecomposition:
     """Partition the vertices into homogeneous blocks.
 
     Raises BlockRelationError if the pairwise relation turns out not to be
-    transitive (it provably is; this guards the implementation).
+    an equivalence (it provably is; this guards the implementation).
     """
     n = t.n
-    hom = [[False] * n for _ in range(n)]
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    out = t.out_masks
+    hom = [1 << u for u in range(n)]  # the vertices homogeneous with u, u included
     for u in range(n):
-        hom[u][u] = True
         for v in range(u + 1, n):
-            if is_homogeneous_pair(t, u, v) is not None:
-                hom[u][v] = hom[v][u] = True
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(find(v), []).append(v)
-    blocks = tuple(
-        frozenset(members[r]) for r in sorted(members)
-    )
-    for block in blocks:
-        for u in block:
-            for v in block:
-                if not hom[u][v]:
-                    raise BlockRelationError(
-                        f"vertices {u} and {v} share a block via a chain but "
-                        "are not pairwise homogeneous"
-                    )
+            if _homogeneous(out, u, v):
+                hom[u] |= 1 << v
+                hom[v] |= 1 << u
+    # each block is hom of its least vertex; under an equivalence every
+    # member's hom is that same mask, so any other mask is a violation
+    blocks = []
+    left = (1 << n) - 1
+    while left:
+        u = (left & -left).bit_length() - 1
+        block = hom[u]
+        members = [v for v in range(n) if block >> v & 1]
+        for v in members:
+            odd = hom[v] ^ block
+            if odd:
+                raise BlockRelationError(
+                    f"vertices {u} and {v} are homogeneous, but vertex "
+                    f"{(odd & -odd).bit_length() - 1} is so with only one of them"
+                )
+        blocks.append(frozenset(members))
+        left &= ~block
     reps = tuple(min(b) for b in blocks)
     quotient = t.induced(reps)
     sequence = tuple(sorted((len(b) for b in blocks), reverse=True))
-    return BlockDecomposition(blocks, reps, quotient, sequence)
+    return BlockDecomposition(tuple(blocks), reps, quotient, sequence)
 
 
 def block_count(t: Tournament) -> int:
     """Number of homogeneous blocks."""
     return len(decompose(t).blocks)
-
-
-def _relation_to(t: Tournament, v: int, block: frozenset[int]) -> str:
-    beats_all = all(t.beats(v, b) for b in block)
-    if beats_all:
-        return "out"
-    if all(t.beats(b, v) for b in block):
-        return "in"
-    return "mixed"
 
 
 def separate_blocks(
@@ -171,37 +149,40 @@ def separate_blocks(
         raise SeparationError("Bj and Bl must be disjoint and non-empty")
     if not (bjs <= aset and bls <= aset):
         raise SeparationError("Bj and Bl must be subsets of A")
-    if not all(t.beats(x, y) for x in bjs for y in bls):
+    for v in bjs | bls:
+        t._check_vertex(v)
+    out = t.out_masks
+    j_mask = sum(1 << v for v in bjs)
+    l_mask = sum(1 << v for v in bls)
+    if any(out[x] & l_mask != l_mask for x in bjs):
         raise SeparationError("need all cross edges Bj -> Bl")
 
-    both = bjs | bls
-    outside = [v for v in range(t.n) if v not in both]
-    k_set: list[int] = []
+    both = j_mask | l_mask
+    k_mask = m_mask = 0
     l_set: list[int] = []
     m_set: list[int] = []
     case1: list[int] = []
-    for v in outside:
-        rj = _relation_to(t, v, bjs)
-        rl = _relation_to(t, v, bls)
-        if rj == "mixed" or rl == "mixed":
+    for v in range(t.n):
+        if both >> v & 1:
+            continue
+        sj, sl = out[v] & j_mask, out[v] & l_mask
+        if sj not in (0, j_mask) or sl not in (0, l_mask):
             raise SeparationError(
                 f"vertex {v} sees a block non-uniformly; Bj/Bl are not "
                 "homogeneous blocks of the host"
             )
-        if rj == "out" and rl == "out":
-            k_set.append(v)
-        elif rj == "in" and rl == "in":
+        if sj and sl:
+            k_mask |= 1 << v
+        elif not (sj or sl):
             l_set.append(v)
-        elif rj == "in" and rl == "out":
+        elif sl:
+            m_mask |= 1 << v
             m_set.append(v)
         else:
             case1.append(v)
 
     if case1:
-        return aset | {min(case1)}
-    m_mask = _mask(m_set)
-    k_mask = _mask(k_set)
-    out = t.out_masks
+        return aset | {case1[0]}
     for u in m_set:
         hit = out[u] & k_mask
         if hit:
@@ -210,24 +191,16 @@ def separate_blocks(
         hit = out[u] & m_mask
         if hit:
             return aset | {u, (hit & -hit).bit_length() - 1}
-    for i, u in enumerate(m_set):
-        for v in m_set[i + 1 :]:
-            for w in m_set:
-                if w in (u, v):
-                    continue
-                if t.beats(u, v) and t.beats(v, w) and t.beats(w, u):
-                    return aset | {u, v, w}
+    for u in m_set:
+        for v in m_set:
+            if v > u and out[u] >> v & 1:
+                hit = m_mask & out[v] & ~out[u]  # the w in M with v -> w -> u
+                if hit:
+                    return aset | {u, v, (hit & -hit).bit_length() - 1}
     raise SeparationError(
         "no separating configuration exists: Bj, Bl and the middle set lie "
         "in one homogeneous block of the host"
     )
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def estimate_k(table: "SpeedTable", n: int) -> int:

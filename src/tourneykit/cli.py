@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 import time
-from math import inf
 from pathlib import Path
 
 from . import verify as verify_mod
 from .blocks import decompose
 from .canon import automorphism_order, canonical_form, is_isomorphic
 from .families import (
+    MAX_TOWER_VERTICES,
     FlagTriple,
     ReversalSpec,
     make_M,
@@ -56,8 +56,8 @@ FAMILIES = {
     "TS": (1, lambda p: int(p[0])),
     "Tstar": (1, lambda p: int(p[0])),
     "type1": (1, lambda p: 2 * int(p[0]) + 1),
-    # inf past level 7, as 3^7 is over the cap: 3 ** level of a huge level takes minutes
-    "moon": (1, lambda p: 3 ** int(p[0]) if int(p[0]) <= 7 else inf),
+    # make_moon_tower refuses a level past its own bound, which is under the cap
+    "moon": (1, lambda p: MAX_TOWER_VERTICES),
     # the cyclic quotient on one vertex per block is built too
     "blowup": (1, lambda p: max(sum(s := _csv_ints(p[0])), len(s))),
     "random": (1, lambda p: int(p[0])),

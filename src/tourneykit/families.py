@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tournament import InfeasibleSizeError, Tournament
+from .tournament import InfeasibleSizeError, Tournament, pair_count, substitute
 
 MAX_TOWER_LEVEL = 5
 MAX_TOWER_VERTICES = 3**MAX_TOWER_LEVEL  # 243
+_POINT = Tournament(1)
+_TRIANGLE = Tournament(3, 0b101)  # 0 -> 1 -> 2 -> 0
 
 
 class FamilyMembershipError(ValueError):
@@ -84,6 +86,11 @@ class ReversalSpec:
         return len(self.reversed_set) // 2
 
 
+def _transitive(n: int) -> Tournament:
+    """The transitive tournament in which earlier vertices beat later ones."""
+    return Tournament(n, (1 << pair_count(n)) - 1)
+
+
 def _coerce_seq(seq: "CompositionSeq | Iterable[int]") -> CompositionSeq:
     if isinstance(seq, CompositionSeq):
         return seq
@@ -97,19 +104,8 @@ def make_T(seq: "CompositionSeq | Iterable[int]") -> Tournament:
     cyclic triangle first -> second -> third -> first.
     """
     terms = _coerce_seq(seq).terms
-    block_of: list[int] = []
-    offset_in: list[int] = []
-    for bi, a in enumerate(terms):
-        for r in range(a):
-            block_of.append(bi)
-            offset_in.append(r)
-
-    def beats(u: int, v: int) -> bool:
-        if block_of[u] != block_of[v]:
-            return block_of[u] < block_of[v]
-        return (offset_in[v] - offset_in[u]) % 3 == 1
-
-    return Tournament.from_beats(len(block_of), beats)
+    parts = [_TRIANGLE if a == 3 else _POINT for a in terms]
+    return substitute(_transitive(len(terms)), parts)
 
 
 def reconstruct_seq(t: Tournament) -> CompositionSeq:
@@ -295,16 +291,7 @@ def make_type1(k: int, flavor: int) -> Tournament:
         raise ValueError("k must be >= 1")
     if flavor not in (0, 1):
         raise ValueError("flavor must be 0 or 1")
-    nn = 2 * k
-
-    def beats(u: int, v: int) -> bool:
-        if v < nn:
-            return True  # chain, u < v
-        i = u + 1
-        y_beats_xi = (i % 2 == 1) == (flavor == 1)
-        return not y_beats_xi
-
-    return Tournament.from_beats(nn + 1, beats)
+    return make_TS(2 * k + 1, range(2 - flavor, 2 * k + 1, 2))
 
 
 def make_moon_tower(level: int) -> Tournament:
@@ -317,18 +304,9 @@ def make_moon_tower(level: int) -> Tournament:
             f"towers above level {MAX_TOWER_LEVEL} have {3 ** (MAX_TOWER_LEVEL + 1)} or "
             f"more vertices, over the bound {MAX_TOWER_VERTICES}; got level {level}"
         )
-    cur = make_T((3,))
+    cur = _TRIANGLE
     for _ in range(level - 1):
-        prev = cur
-        m = prev.n
-
-        def beats(u: int, v: int, prev: Tournament = prev, m: int = m) -> bool:
-            bu, bv = u // m, v // m
-            if bu == bv:
-                return prev.beats(u % m, v % m)
-            return (bv - bu) % 3 == 1
-
-        cur = Tournament.from_beats(3 * m, beats)
+        cur = substitute(_TRIANGLE, (cur,) * 3)
     return cur
 
 
@@ -342,15 +320,4 @@ def make_cyclic_blowup(sizes: Sequence[int]) -> Tournament:
     """
     if any(a < 0 for a in sizes):
         raise ValueError("block sizes must be non-negative")
-    quotient = make_cyclic(len(sizes))
-    block_of: list[int] = []
-    for bi, a in enumerate(sizes):
-        block_of.extend([bi] * a)
-
-    def beats(u: int, v: int) -> bool:
-        bu, bv = block_of[u], block_of[v]
-        if bu == bv:
-            return True  # u < v within a transitive block
-        return quotient.beats(bu, bv)
-
-    return Tournament.from_beats(len(block_of), beats)
+    return substitute(make_cyclic(len(sizes)), [_transitive(a) for a in sizes])

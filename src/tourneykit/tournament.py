@@ -102,6 +102,21 @@ def _pack(rows: Sequence[int]) -> int:
     return bits
 
 
+def _transitive_on(out: Sequence[int], mask: int) -> bool:
+    """True iff the vertices in ``mask`` induce a transitive tournament.
+
+    They do exactly when their out-degrees inside the mask are distinct,
+    hence a permutation of 0..k-1 (the unique source dominates, recurse).
+    """
+    degrees = set()
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        degrees.add((out[low.bit_length() - 1] & mask).bit_count())
+    return len(degrees) == mask.bit_count()
+
+
 def _decimal(text: str, what: str) -> int:
     """A vertex count or id: ASCII decimal digits, maybe padded by
     whitespace (int() alone also takes '_', signs and other digits)."""
@@ -242,12 +257,8 @@ class Tournament:
     # -- structural predicates ----------------------------------------------
 
     def is_transitive(self) -> bool:
-        """True iff the beat relation is a strict total order.
-
-        A tournament is transitive exactly when its out-degree sequence is
-        a permutation of 0..n-1 (the unique source dominates, recurse).
-        """
-        return sorted(self.out_degrees()) == list(range(self.n))
+        """True iff the beat relation is a strict total order."""
+        return _transitive_on(self.out_masks, (1 << self.n) - 1)
 
     def is_strongly_connected(self) -> bool:
         """True iff every ordered vertex pair is joined by a directed path.
@@ -314,6 +325,32 @@ def concat(g1: Tournament, g2: Tournament) -> Tournament:
         return True
 
     return Tournament.from_beats(n, beats)
+
+
+def substitute(quotient: Tournament, parts: Sequence[Tournament]) -> Tournament:
+    """Substitution: vertex a of ``quotient`` becomes the block ``parts[a]``,
+    the blocks laid out in quotient order.  A pair inside a block keeps
+    the block's orientation; a pair across blocks a and b takes the
+    quotient's orientation of (a, b)."""
+    if len(parts) != quotient.n:
+        raise ValueError(
+            f"need one part per quotient vertex: {quotient.n} vertices, {len(parts)} parts"
+        )
+    spans = []  # the vertices of each block, as a mask
+    n = 0
+    for p in parts:
+        spans.append(((1 << p.n) - 1) << n)
+        n += p.n
+    rows: list[int] = []
+    for p, qa in zip(parts, quotient.out_masks):
+        across = 0
+        while qa:
+            low = qa & -qa
+            qa ^= low
+            across |= spans[low.bit_length() - 1]
+        start = len(rows)
+        rows += [(o << start) | across for o in p.out_masks]
+    return Tournament(n, _pack(rows))
 
 
 def random_tournament(n: int, rng: random.Random | int | None = None) -> Tournament:

@@ -189,22 +189,10 @@ def _verify_flag_lower(
             values, stable = count_sub_L_scan(flags, n, m_max=m_max)
             final = values[-1][1]
             need = bound(n)
-            label = f"I={flags} n={n}"
-            if stable is None:
-                # no stabilization in budget: monotonicity was asserted by
-                # the scan, require the bound at the largest feasible m
-                cases.append(
-                    Case(
-                        f"{label} (unstabilized)",
-                        final,
-                        f">= {bound_desc} = {need}",
-                        final >= need,
-                    )
-                )
-            else:
-                cases.append(
-                    Case(label, final, f">= {bound_desc} = {need}", final >= need)
-                )
+            # no stabilization in budget: monotonicity was asserted by the
+            # scan, so the bound is required at the largest feasible m
+            label = f"I={flags} n={n}" + (" (unstabilized)" if stable is None else "")
+            cases.append(Case(label, final, f">= {bound_desc} = {need}", final >= need))
     return VerifyReport(
         lemma_id,
         {"n_max": n_max, "m_max": m_max, "flags": [list(f) for f in flag_triples]},

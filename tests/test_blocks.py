@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_labelled
 from tourneykit import (
+    BlockRelationError,
     SeparationError,
     Tournament,
     block_count,
@@ -20,7 +22,9 @@ from tourneykit import (
     pair_count,
     random_tournament,
     separate_blocks,
+    substitute,
 )
+from tourneykit import blocks
 from tourneykit.verify import t_family_table
 
 
@@ -119,6 +123,50 @@ class TestDecompose:
             t = random_tournament(rng.randrange(1, 9), rng)
             for b in decompose(t).blocks:
                 assert t.induced(sorted(b)).is_transitive()
+
+    def test_a_relation_that_is_not_transitive_raises(self, monkeypatch):
+        # 0 ~ 1 and 1 ~ 2 but not 0 ~ 2: the re-check must catch it
+        chain = ({0, 1}, {1, 2})
+        monkeypatch.setattr(
+            blocks, "_homogeneous", lambda out, u, v: 1 if {u, v} in chain else 0
+        )
+        with pytest.raises(BlockRelationError):
+            decompose(transitive(3))
+
+
+def _assert_round_trip(t):
+    # the blocks are uniform across, and the quotient is induced on the
+    # block minima, so substituting the blocks into it rebuilds t with
+    # the vertices in block order
+    dec = decompose(t)
+    order = [v for b in dec.blocks for v in sorted(b)]
+    perm = [0] * t.n
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    parts = [t.induced(sorted(b)) for b in dec.blocks]
+    assert substitute(dec.quotient, parts) == t.relabel(perm)
+
+
+class TestSubstitute:
+    def test_round_trip_on_every_labelled_tournament(self):
+        for n in range(7):
+            for t in all_labelled(n):
+                _assert_round_trip(t)
+
+    def test_round_trip_on_random_tournaments_and_blowups(self):
+        rng = random.Random(10)
+        for _ in range(100):
+            _assert_round_trip(random_tournament(rng.randrange(1, 31), rng))
+        for _ in range(100):
+            sizes = [rng.randrange(0, 7) for _ in range(rng.randrange(1, 6))]
+            t = make_cyclic_blowup(sizes)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            _assert_round_trip(t.relabel(perm))
+
+    def test_parts_must_match_the_quotient(self):
+        with pytest.raises(ValueError):
+            substitute(make_T((3,)), [Tournament(1)] * 2)
 
 
 class TestSeparateBlocks:

@@ -182,12 +182,16 @@ def test_subcount_negative_n_is_usage_error(capsys, argv):
 
 
 def test_gen_moon_past_the_tower_bound_is_infeasible(tmp_path, capsys):
+    # one bound for the family, the tower's own: never the gen cap, and
+    # never 3 ** level of a huge level
     path = tmp_path / "t.trn"
-    code, out, err = _run(capsys, ["gen", "moon", "6", "-o", str(path)])
-    assert code == 3
-    assert out == ""
-    assert "infeasible" in err and "729" in err and "243" in err
-    assert not path.exists()
+    for level in ("6", "7", "100000000"):
+        code, out, err = _run(capsys, ["gen", "moon", level, "-o", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "infeasible" in err and "729" in err and "243" in err
+        assert f"got level {level}" in err and "capped" not in err
+        assert not path.exists()
 
 
 def test_subcount_scan_to_first_host(capsys):
@@ -425,8 +429,8 @@ def test_gen_random_size_cap(tmp_path, capsys):
         (["TS", "3000"], 3000),
         (["Tstar", "2049"], 2049),
         (["type1", "1024", "1"], 2049),
-        (["moon", "7"], 2187),
-        (["moon", "100000000"], "inf"),
+        (["moon", "7"], "level 7"),
+        (["moon", "100000000"], "level 100000000"),
         (["blowup", "900,900,900"], 2700),
         (["blowup", ",".join(["0"] * 2049)], 2049),
         (["blowup", ",".join(["1"] * 1024 + ["0"] * 1025)], 2049),
@@ -438,12 +442,16 @@ def test_gen_random_size_cap(tmp_path, capsys):
 )
 def test_gen_size_cap_covers_every_family(tmp_path, capsys, params, n):
     from tourneykit.cli import RANDOM_MAX_N
+    from tourneykit.families import MAX_TOWER_VERTICES
 
+    # a tower is bounded by its own, smaller bound; every other family by
+    # the gen cap
+    bound = MAX_TOWER_VERTICES if params[0] == "moon" else RANDOM_MAX_N
     path = tmp_path / "t.trn"
     code, out, err = _run(capsys, ["gen", *params, "-o", str(path)])
     assert code == 3
     assert out == ""
-    assert "infeasible" in err and str(RANDOM_MAX_N) in err
+    assert "infeasible" in err and str(bound) in err
     assert f"got {n}" in err
     assert not path.exists()
 
