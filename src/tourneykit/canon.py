@@ -34,10 +34,10 @@ exact ways:
   its tied children, so a child in the orbit of an explored sibling under
   the known and found automorphisms that fix the prefix is skipped.
 
-The same walk counts the leaves that attain the canonical line, which
-are exactly the automorphisms: each skipped or abandoned child counts as
-its explored orbit mate, and the counts restart whenever a better leaf
-is found.
+The same walk yields |Aut| by orbit-stabiliser: the product, over the
+best leaf's branch points, of the best child's class in the finished
+branch's orbits, which is its orbit under the automorphisms fixing the
+prefix (notes/decisions.md); a better leaf restarts the product.
 
 The caller may hand the search automorphisms it already knows
 (``canonical_code_and_automorphisms``); the deletion closure hands each
@@ -98,8 +98,7 @@ _canon_code = lru_cache(maxsize=1 << 17)(canonical_code)
 def automorphism_order(t: Tournament) -> int:
     """Number of vertex permutations fixing the tournament.
 
-    Counted by the canonical search as the leaves attaining the canonical
-    line.
+    The canonical search's product of the best leaf's orbit sizes.
     """
     return _search(t.out_masks)[1]
 
@@ -226,23 +225,19 @@ class _Branch:
     """A search node whose tied children are explored one after another.
 
     Its kids are (vertex, refined cells); all of them have the row ``row``.
-    ``total`` counts the leaves attaining the best line under finished
-    kids and ``current`` those under the kid being explored; ``done``
-    maps each finished kid to its count.  ``orbits`` is a union-find over
-    vertices, joining kids that automorphisms fixing the node's prefix map
-    onto each other.
+    ``done`` lists the finished kids' vertices.  ``orbits`` is a
+    union-find over vertices, joining kids that automorphisms fixing the
+    node's prefix map onto each other.
     """
 
-    __slots__ = ("depth", "kids", "row", "taken", "total", "current", "done", "orbits")
+    __slots__ = ("depth", "kids", "row", "taken", "done", "orbits")
 
     def __init__(self, depth: int, kids: list, row: int):
         self.depth = depth
         self.kids = kids
         self.row = row
         self.taken = 1  # kids taken so far, the current one included
-        self.total = 0
-        self.current = 0
-        self.done: dict[int | None, int] = {}
+        self.done: list[int] = []
         self.orbits: list[int] | None = None
 
     def merge(self, gamma: Sequence[int]) -> None:
@@ -342,8 +337,10 @@ def _search(
     autos: list[tuple[Sequence[int], int]] = [
         (g, _fixed_points(g)) for g in known or _triangle_rotations(out)
     ]
-    # the bottom branch stands above the root and ends up holding |Aut|
-    stack = [_Branch(-1, [(None, ())], 0)]
+    stack: list[_Branch] = []  # the branch points on the path
+    # |Aut| over the best leaf's finished branch points, and how many of the
+    # stack's lowest branch points lie on the best leaf's path
+    order, ancestors = 1, 0
     better = True  # the path's rows beat the best leaf's (none yet)
     row, tied = _expand(out, ((1 << n) - 1,))
     while True:
@@ -370,20 +367,16 @@ def _search(
                 row, tied = _expand(out, cells)
                 continue
             path.append(cells[0].bit_length() - 1)  # a leaf
-            if len(stack) == 1:  # no branch point above: the only leaf
+            if not stack:  # no branch point above: the only leaf
                 return _code(n, rows), 1, path, autos
             if better:
                 better = False
                 best_rows, best_path = rows[:], path[:]
-                for b in stack:
-                    b.total = b.current = 0
-                    b.done = dict.fromkeys(b.done, 0)
-                stack[-1].current = 1
+                order, ancestors = 1, len(stack)
             else:
                 # gamma = leaf o best^-1 fixes the prefix the two leaves
                 # share and maps the best leaf's kid at the branch point
-                # where they part onto the current kid: abandon that kid,
-                # counting it as its image.
+                # where they part onto the current kid: abandon that kid.
                 gamma = [0] * n
                 for x, y in zip(best_path, path):
                     gamma[x] = y
@@ -393,16 +386,14 @@ def _search(
                     div += 1
                 while stack[-1].depth > div:
                     stack.pop()
-                stack[-1].current = stack[-1].done[best_path[div]]
-                for b in stack[1:]:
+                for b in stack:
                     b.merge(gamma)
         # The deepest branch's current kid is finished: move on to its next
-        # kid outside the orbits of the finished ones, popping spent branches.
+        # kid outside the orbits of the finished ones, popping spent branches;
+        # a spent one on the best leaf's path multiplies in the best kid's.
         while True:
             b = stack[-1]
-            b.total += b.current
-            b.done[b.kids[b.taken - 1][0]] = b.current
-            b.current = 0
+            b.done.append(b.kids[b.taken - 1][0])
             kid = None
             while b.taken < len(b.kids):
                 kid = b.kids[b.taken]
@@ -411,17 +402,20 @@ def _search(
                 if uf is None:
                     break
                 r = _find(uf, kid[0])
-                mate = next((c for u, c in b.done.items() if _find(uf, u) == r), None)
-                if mate is None:
+                if all(_find(uf, u) != r for u in b.done):
                     break
-                b.total += mate
                 kid = None
             if kid is not None:
                 break
             stack.pop()
+            if len(stack) < ancestors:
+                ancestors = len(stack)
+                uf = b.orbits
+                if uf is not None:
+                    r = _find(uf, best_path[b.depth])
+                    order *= sum(_find(uf, u) == r for u, _ in b.kids)
             if not stack:
-                return _code(n, best_rows), b.total, best_path, autos
-            stack[-1].current += b.total
+                return _code(n, best_rows), order, best_path, autos
         del path[b.depth :], rows[b.depth :]
         row, tied = b.row, [kid]
         better = False

@@ -471,6 +471,16 @@ def count_tn_lower(n: int) -> int:
     return 2 ** (n - 1) - 2 * comb(n - 1, 2) - n
 
 
+def _i1zero_lower(n: int) -> int:
+    """Lower bound (ii), 2^(n-3) - 2, for flags with I1 = 0 (float if n < 3)."""
+    return 2 ** (n - 3) - 2
+
+
+def _cyclic_lower(n: int) -> int:
+    """Lower bound (iii), ceil(2^(n-1)/n), for the cyclic host's classes."""
+    return ceil(2 ** (n - 1) / n)
+
+
 def type1_tn_classes(n: int) -> int:
     """Distinct classes among the chain-plus-y sub-tournaments carved out
     of an n-structure of flavor A (one x per chain pair, odd pick for
@@ -506,14 +516,7 @@ def check_olarge(n_max: int = 30) -> list[InequalityCase]:
     sides also dominate the recurrence step f(n+1) >= f(n) + f(n-2).
     """
     cases: list[InequalityCase] = []
-    f1 = count_tn_lower
-
-    def f2(n: int) -> int:
-        return 2 ** (n - 3) - 2
-
-    def f3(n: int) -> int:
-        return ceil(2 ** (n - 1) / n)
-
+    f1, f2, f3 = count_tn_lower, _i1zero_lower, _cyclic_lower
     for n in range(6, n_max + 1):
         cases.append(InequalityCase("i", n, f1(n), fstar(n), f1(n) >= fstar(n)))
         strict = 2 ** (n - 2) > f2(n)

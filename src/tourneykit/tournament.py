@@ -172,6 +172,8 @@ class Tournament:
         m = pair_count(n)
         if len(body) != m:
             raise ValueError(f"expected {m} pair bits for n={n}, got {len(body)}")
+        for extra in filter(str.strip, lines[2:]):  # blank lines may trail
+            raise ValueError(f"unexpected line after the pair bits: {extra!r}")
         return cls(n, line_to_bits(body))
 
     # -- basic queries -----------------------------------------------------

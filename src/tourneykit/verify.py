@@ -10,7 +10,8 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass, field
-from math import ceil, comb
+from itertools import combinations
+from math import comb
 from typing import Callable, Iterator
 
 from .blocks import block_count
@@ -25,6 +26,8 @@ from .families import (
 )
 from .speed import (
     SpeedTable,
+    _cyclic_lower,
+    _i1zero_lower,
     avoidance_closure,
     check_olarge,
     check_supermultiplicative,
@@ -141,7 +144,7 @@ def verify_dn_bound(n_max: int = 8) -> VerifyReport:
         members = [
             frozenset(s)
             for r in range(n + 1)
-            for s in _subsets(n, r)
+            for s in combinations(range(1, n + 1), r)
             if dn_membership(n, s)
         ]
         bound = 2 * comb(n, 2) + n + 1
@@ -153,12 +156,6 @@ def verify_dn_bound(n_max: int = 8) -> VerifyReport:
             Case(f"n={n} shapes", len(bad), "== 0 members off-shape", not bad)
         )
     return VerifyReport("Dn-bound", {"n_max": n_max}, cases)
-
-
-def _subsets(n: int, r: int):
-    from itertools import combinations
-
-    return combinations(range(1, n + 1), r)
 
 
 def verify_l111(n_max: int = 9, m_max: int = 12) -> VerifyReport:
@@ -216,7 +213,7 @@ def verify_l_i1_zero(n_max: int = 6, m_max: int = 10) -> VerifyReport:
     return _verify_flag_lower(
         "L-I1zero",
         [(0, 0, 0), (0, 1, 1)],
-        lambda n: max(0, 2 ** (n - 3) - 2),
+        lambda n: max(0, _i1zero_lower(n)),
         "2^(n-3) - 2",
         n_max,
         m_max,
@@ -227,7 +224,7 @@ def verify_cyclic_count(n_max: int = 8) -> VerifyReport:
     cases = []
     for n in range(1, n_max + 1):
         c = count_cyclic_subs(n)
-        need = ceil(2 ** (n - 1) / n)
+        need = _cyclic_lower(n)
         cases.append(Case(f"n={n}", c, f">= ceil(2^(n-1)/n) = {need}", c >= need))
     c3 = count_cyclic_subs(3)
     cases.append(Case("n=3 exact", c3, "== 2", c3 == 2))
@@ -240,10 +237,10 @@ def verify_olarge(n_max: int = 30) -> VerifyReport:
         for c in check_olarge(n_max)
     ]
     tight = [
-        ("i tight at 6", 2**5 - 2 * comb(5, 2) - 6, fstar(6)),
-        ("ii tight at 6", 2**3 - 2, fstar(6)),
-        ("iii tight at 6", ceil(2**5 / 6), fstar(6)),
-        ("iii exception at 4", ceil(2**3 / 4), fstar(4)),
+        ("i tight at 6", count_tn_lower(6), fstar(6)),
+        ("ii tight at 6", _i1zero_lower(6), fstar(6)),
+        ("iii tight at 6", _cyclic_lower(6), fstar(6)),
+        ("iii exception at 4", _cyclic_lower(4), fstar(4)),
     ]
     for name, lhs, rhs in tight[:3]:
         cases.append(Case(name, lhs, f"== {rhs}", lhs == rhs))

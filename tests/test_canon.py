@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -327,6 +328,15 @@ class TestAutomorphisms:
                 got = automorphism_order(Tournament(n, code))
                 assert got == brute_automorphism_order(n, code), (n, code)
 
+    def test_orbit_stabiliser_on_every_six_vertex_code(self):
+        # |Aut T| times the number of labelled codes isomorphic to T is 6!
+        codes = range(1 << pair_count(6))
+        reps = [canon.canonical_code(6, code) for code in codes]
+        isomorphs = Counter(reps)
+        for code, rep in zip(codes, reps):
+            order = automorphism_order(Tournament(6, code))
+            assert order * isomorphs[rep] == 720, code
+
     def test_stacked_triangles(self):
         for k in range(1, 13):
             t = relabelled(make_T((3,) * k), k)
@@ -498,6 +508,22 @@ class TestClosedFormOrders:
     def test_moon_towers(self, level):
         t = relabelled(make_moon_tower(level), level)
         assert automorphism_order(t) == 3 ** ((3**level - 1) // 2)
+
+    @pytest.mark.parametrize("m", [7, 9])
+    def test_triangles_planted_in_cyclic_hosts(self, m):
+        # cyclic(m) is prime, so the planted triangles and the single
+        # vertices are the maximal modules: |Aut| is 3^k times the number
+        # of rotations of Z_m that keep the chosen set.  The rotations
+        # handed to the cold search merge the kids of branch points off the
+        # best leaf's path too; only the path's orbits may enter |Aut|.
+        rng = random.Random(m)
+        for mask in range(1, 1 << m):
+            chosen = {v for v in range(m) if mask >> v & 1}
+            t = planted(make_cyclic(m), chosen)
+            keep = sum({(v + r) % m for v in chosen} == chosen for r in range(m))
+            for _ in range(2):
+                copy = relabelled(t, rng.random())
+                assert automorphism_order(copy) == 3 ** len(chosen) * keep, copy
 
 
 def planted(host, chosen):

@@ -63,6 +63,15 @@ def test_gen_writes_parseable_trn(tmp_path, capsys):
         Tournament.from_trn(path.read_text())
 
 
+def test_canon_rejects_trailing_garbage(tmp_path, capsys):
+    path = tmp_path / "x.trn"
+    path.write_text("3\n010\nthis is not a tournament\n")
+    code, out, err = _run(capsys, ["canon", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "error: unexpected line after the pair bits: 'this is not a tournament'" in err
+
+
 def test_iso_verb(tmp_path, capsys):
     a = tmp_path / "a.trn"
     b = tmp_path / "b.trn"

@@ -256,6 +256,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Tournament.from_trn("2\n2")
 
+    def test_trn_rejects_trailing_lines(self):
+        with pytest.raises(ValueError, match="'this is not a tournament'"):
+            Tournament.from_trn("3\n010\n\nthis is not a tournament\n")
+        with pytest.raises(ValueError, match="'1'"):
+            Tournament.from_trn("1\n\n1\n")
+
+    def test_trn_allows_trailing_blank_lines(self):
+        want = Tournament(3, line_to_bits("010"))
+        assert Tournament.from_trn("3\n010\n\n \t\n\n") == want
+
     @pytest.mark.parametrize(
         "body, bad",
         [("1_0", "_"), ("+10", "+"), ("1 0", " "), ("1\t0", "\t"), ("0b1", "b")],
