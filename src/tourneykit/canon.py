@@ -34,6 +34,14 @@ exact ways:
   its tied children, so a child in the orbit of an explored sibling under
   the known and found automorphisms that fix the prefix is skipped.
 
+Once every cell of a child's partition is a single vertex, every node
+below it has one child and the rest of the path is forced.
+``_forced_tail`` reads it off the cells in order without expanding the
+nodes: each vertex's row is its out-bits to the vertices after it.  It
+compares each row with the best leaf's as it reads it, so prefix pruning
+still cuts the tail at its first larger row, and a tail that runs to the
+end is a leaf like any other.
+
 The same walk yields |Aut| by orbit-stabiliser: the product, over the
 best leaf's branch points, of the best child's class in the finished
 branch's orbits, which is its orbit under the automorphisms fixing the
@@ -317,6 +325,46 @@ def _fixed_points(g: Sequence[int]) -> int:
     return fixed
 
 
+def _forced_tail(
+    out: Sequence[int],
+    cells: tuple[int, ...],
+    rows: list[int],
+    path: list[int],
+    best_rows: list[int],
+    better: bool,
+) -> bool | None:
+    """Finish the path whose partition ``cells`` is discrete.
+
+    Each cell is one vertex, so each later node has one child, the
+    vertex of its first cell, and the rest of the path is the cells in
+    order.  The row of each is its out-bits to the vertices after it,
+    first one most significant, as ``_expand`` spells it.  The rows go
+    onto ``rows`` and the vertices onto ``path``.  Unless ``better``, each
+    row is compared with the best leaf's at its depth as it is read, so a
+    cut stops at the first larger row.  Returns None on a cut, else
+    whether the leaf beats the best leaf.
+    """
+    d = len(rows)
+    u = cells[0].bit_length() - 1
+    for i in range(1, len(cells)):
+        ou = out[u]
+        row = 0
+        for cell in cells[i:]:
+            row <<= 1
+            if ou & cell:
+                row |= 1
+        if not better and row != best_rows[d]:
+            if row > best_rows[d]:
+                return None
+            better = True
+        rows.append(row)
+        path.append(u)
+        d += 1
+        u = cells[i].bit_length() - 1
+    path.append(u)
+    return better
+
+
 def _search(
     out: Sequence[int], known: Sequence[Sequence[int]] = ()
 ) -> tuple[int, int, list[int], list[tuple[Sequence[int], int]]]:
@@ -363,31 +411,33 @@ def _search(
             v, cells = tied[0]
             rows.append(row)
             path.append(v)
-            if d < last:
+            if len(cells) <= last - d:
                 row, tied = _expand(out, cells)
                 continue
-            path.append(cells[0].bit_length() - 1)  # a leaf
-            if not stack:  # no branch point above: the only leaf
-                return _code(n, rows), 1, path, autos
-            if better:
-                better = False
-                best_rows, best_path = rows[:], path[:]
-                order, ancestors = 1, len(stack)
-            else:
-                # gamma = leaf o best^-1 fixes the prefix the two leaves
-                # share and maps the best leaf's kid at the branch point
-                # where they part onto the current kid: abandon that kid.
-                gamma = [0] * n
-                for x, y in zip(best_path, path):
-                    gamma[x] = y
-                autos.append((gamma, _fixed_points(gamma)))
-                div = 0
-                while path[div] == best_path[div]:
-                    div += 1
-                while stack[-1].depth > div:
-                    stack.pop()
-                for b in stack:
-                    b.merge(gamma)
+            # every cell is one vertex: the rest of the path is forced
+            better = _forced_tail(out, cells, rows, path, best_rows, better)
+            if better is not None:  # not cut: a leaf
+                if not stack:  # no branch point above: the only leaf
+                    return _code(n, rows), 1, path, autos
+                if better:
+                    better = False
+                    best_rows, best_path = rows[:], path[:]
+                    order, ancestors = 1, len(stack)
+                else:
+                    # gamma = leaf o best^-1 fixes the prefix the two leaves
+                    # share and maps the best leaf's kid at the branch point
+                    # where they part onto the current kid: abandon that kid.
+                    gamma = [0] * n
+                    for x, y in zip(best_path, path):
+                        gamma[x] = y
+                    autos.append((gamma, _fixed_points(gamma)))
+                    div = 0
+                    while path[div] == best_path[div]:
+                        div += 1
+                    while stack[-1].depth > div:
+                        stack.pop()
+                    for b in stack:
+                        b.merge(gamma)
         # The deepest branch's current kid is finished: move on to its next
         # kid outside the orbits of the finished ones, popping spent branches;
         # a spent one on the best leaf's path multiplies in the best kid's.

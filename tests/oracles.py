@@ -11,7 +11,9 @@ subset), the reference for the extension BFS's per-base test.
 branch attaining the minimal row, the reference for the pruned depth-first
 search; ``pair_out_masks`` is the per-pair decode of the pair bits.
 ``reference_expand`` expands a node of that search by building every
-first-cell vertex's full row, the reference for the narrowing expansion.
+first-cell vertex's full row, the reference for the narrowing expansion;
+``reference_tail`` walks a discrete partition's forced tail node by node
+through it, the reference for the search's direct read of the tail.
 ``unfiltered_avoidance_forms`` is the extension BFS without the
 least-out-degree filter: it canonicalises every extension the per-base
 pattern test lets through.  ``cycle_index_tournament_count`` and
@@ -417,6 +419,35 @@ def reference_expand(
         elif row == best:
             kids.append((v, tuple(split)))
     return best, kids
+
+
+def reference_tail(
+    out: tuple[int, ...],
+    cells: tuple[int, ...],
+    rows: list[int],
+    path: list[int],
+    best_rows: list[int],
+    better: bool,
+) -> bool | None:
+    """The canonical search's forced tail walked one node at a time: each
+    node expanded by ``reference_expand``, its only kid taken and its row
+    compared with the best leaf's unless ``better``.  Rows and vertices go
+    onto ``rows`` and ``path``.  Returns None when a row exceeds the best
+    leaf's, else whether the leaf beats the best leaf."""
+    while len(cells) > 1:
+        row, kids = reference_expand(out, cells)
+        if len(kids) != 1:
+            raise ValueError(f"partition {cells} is not discrete")
+        d = len(rows)
+        if not better and row != best_rows[d]:
+            if row > best_rows[d]:
+                return None
+            better = True
+        v, cells = kids[0]
+        rows.append(row)
+        path.append(v)
+    path.append(cells[0].bit_length() - 1)
+    return better
 
 
 def unfiltered_avoidance_forms(

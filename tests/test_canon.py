@@ -1,5 +1,6 @@
 """Canonical forms, isomorphism, automorphisms, induced containment."""
 
+import hashlib
 import math
 import random
 import sys
@@ -21,6 +22,7 @@ from oracles import (
     brute_module_triangles,
     perm_images,
     reference_expand,
+    reference_tail,
     relabelled_code,
     relabellings,
 )
@@ -178,6 +180,54 @@ class TestCanonicalForm:
         t = make_cyclic(5)
         form = canonical_form(t)
         assert form.to_tournament().body_line() == form.bits
+
+
+# sha256 of canonical_form(t).bits, and automorphism_order(t), for inputs
+# past the sizes the other tests search, the same for each seeded
+# relabelling; a change to the search must leave them as they are
+PINNED_LARGE = {
+    "paley59": (
+        lambda: paley(59),
+        "32fe48aaaff5861f4ad9bf37602afb467847b2587981bf1e6bf2c1ae0cf173d1",
+        59 * 29,
+    ),
+    "paley83": (
+        lambda: paley(83),
+        "371453a1fc10d337033838052cd39f93433749c1b7171aa7fd6f740b423f05ce",
+        83 * 41,
+    ),
+    "random256": (
+        lambda: random_tournament(256, 0),
+        "63953bef2dfd1f9791e0d65dd4441b36d054e96b9111b021942fb9669bd804f0",
+        1,
+    ),
+    "moon4": (
+        lambda: make_moon_tower(4),
+        "b04051e19dbdf80d06536074eb670a4767a93883ffd27e8367f949c1bfd1a716",
+        3**40,
+    ),
+    "cyclic101": (
+        lambda: make_cyclic(101),
+        "cd8bd396bb8068e7b058ea70af4600d76dd5767ceeae83dd2223a6b38dea2568",
+        101,
+    ),
+    "T3x20": (
+        lambda: make_T((3,) * 20),
+        "b07df51f3cf884fd9b5e4ac185f1bd5afc8ca16124cba15381b828f174d539d4",
+        3**20,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LARGE))
+def test_large_inputs_match_their_pins(name):
+    build, digest, order = PINNED_LARGE[name]
+    base = build()
+    for seed in (1, 2):
+        t = relabelled(base, seed)
+        bits = canonical_form(t).bits
+        assert hashlib.sha256(bits.encode()).hexdigest() == digest, (name, seed)
+        assert automorphism_order(t) == order, (name, seed)
 
 
 class TestAgainstBeamSearch:
@@ -417,8 +467,8 @@ class TestSeededSearch:
 
     def test_matches_the_full_row_search(self, monkeypatch):
         # code, |Aut|, labelling and automorphisms equal those of the same
-        # walk expanding each node by full rows, with and without known
-        # automorphisms; the labelling spells the code
+        # walk expanding each node by full rows, forced tails included,
+        # with and without known automorphisms; the labelling spells the code
         rng = random.Random(15)
         cases = [(relabelled(make_T((3,) * 4), 1), []), (relabelled(paley(11), 2), [])]
         for trial in range(400):
@@ -429,9 +479,21 @@ class TestSeededSearch:
             else:
                 cases.append((random_tournament(n, rng), []))
         got = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
+        ends = Counter()
+
+        def walked(out, cells, rows, path, best_rows, better):
+            leaf = reference_tail(out, cells, rows, path, best_rows, better)
+            if not better:  # rows compared with the best leaf's
+                ends["cut" if leaf is None else "better" if leaf else "equal"] += 1
+            return leaf
+
         monkeypatch.setattr(canon, "_expand", reference_expand)
+        monkeypatch.setattr(canon, "_forced_tail", walked)
         want = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
         assert got == want
+        # tails end in each of the three ways: cut, a better leaf, and an
+        # equal leaf that yields an automorphism
+        assert min(ends[e] for e in ("cut", "better", "equal")) > 0, ends
         for (t, _), (plain, seeded) in zip(cases, got):
             code, _, labelling, _ = plain
             assert seeded[:3] == plain[:3], t
