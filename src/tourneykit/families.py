@@ -1,8 +1,10 @@
 """Constructors for the named tournament families, plus their inverses.
 
-Every generator emits a fixed vertex order (x-block then y-block,
-block-major), so repeated calls produce byte-identical .trn output.
-Isomorphism-level properties never depend on that order.
+Every family is built as out-mask rows packed by ``_pack``, directly or
+through ``substitute``.  Every generator emits a fixed vertex order
+(x-block then y-block, block-major), so repeated calls produce
+byte-identical .trn output.  Isomorphism-level properties never depend
+on that order.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tournament import InfeasibleSizeError, Tournament, pair_count, substitute
+from .tournament import InfeasibleSizeError, Tournament, _pack, substitute
 
 MAX_TOWER_LEVEL = 5
 MAX_TOWER_VERTICES = 3**MAX_TOWER_LEVEL  # 243
@@ -86,9 +88,14 @@ class ReversalSpec:
         return len(self.reversed_set) // 2
 
 
-def _transitive(n: int) -> Tournament:
-    """The transitive tournament in which earlier vertices beat later ones."""
-    return Tournament(n, (1 << pair_count(n)) - 1)
+def _transitive(n: int, reversed_pairs: Iterable[tuple[int, int]] = ()) -> Tournament:
+    """The transitive tournament in which earlier vertices beat later ones,
+    with each listed pair (i, j), i < j, turned round to j -> i."""
+    full = (1 << n) - 1
+    rows = [full ^ ((2 << i) - 1) for i in range(n)]
+    for i, j in reversed_pairs:
+        rows[i] ^= 1 << j
+    return Tournament(n, _pack(rows))
 
 
 def _coerce_seq(seq: "CompositionSeq | Iterable[int]") -> CompositionSeq:
@@ -111,30 +118,25 @@ def make_T(seq: "CompositionSeq | Iterable[int]") -> Tournament:
 def reconstruct_seq(t: Tournament) -> CompositionSeq:
     """Invert make_T by peeling: a dominant vertex emits 1, a dominant
     cyclic triangle emits 3.  Raises FamilyMembershipError otherwise."""
+    out = t.out_masks
     terms: list[int] = []
-    cur = t
-    while cur.n:
-        n = cur.n
-        degs = cur.out_degrees()
-        tops = [v for v in range(n) if degs[v] == n - 1]
+    left = (1 << t.n) - 1  # the vertices not yet peeled
+    while left:
+        k = left.bit_count()
+        wins = {v: (out[v] & left).bit_count() for v in range(t.n) if left >> v & 1}
+        tops = [v for v, d in wins.items() if d == k - 1]
         if tops:
             terms.append(1)
-            cur = cur.delete(tops[0])
+            left ^= 1 << tops[0]
             continue
-        cand = [v for v in range(n) if degs[v] == n - 2]
+        cand = [v for v, d in wins.items() if d == k - 2]
+        # three vertices that each lose once in left lose once each among
+        # themselves (their three arcs hold three losses): a cyclic triangle
+        # beating all the rest
         if len(cand) == 3:
-            a, b, c = cand
-            cyclic = (
-                cur.beats(a, b) == cur.beats(b, c) == cur.beats(c, a)
-            )
-            rest = [v for v in range(n) if v not in cand]
-            dominant = all(
-                cur.beats(w, v) for w in cand for v in rest
-            )
-            if cyclic and dominant:
-                terms.append(3)
-                cur = cur.induced(rest)
-                continue
+            terms.append(3)
+            left ^= sum(1 << v for v in cand)
+            continue
         raise FamilyMembershipError(
             "peeling failed: no dominant vertex or dominant cyclic triangle"
         )
@@ -153,24 +155,24 @@ def make_M(flags: "FlagTriple | Sequence[int]", n: int) -> Tournament:
     if n < 1:
         raise ValueError("n must be >= 1")
     nn = 2 * n
-
-    def beats(u: int, v: int) -> bool:
-        # called with u < v; x's precede y's, so a mixed pair has u = x, v = y
-        if v < nn:
-            return True
-        if u >= nn:
-            return fl.i1 == 1
-        i = u + 1  # 1-based x index
-        j = v - nn + 1  # 1-based y index
-        if i == 2 * j:
-            return True
-        if i == 2 * j - 1:
-            return False
-        if i <= 2 * j - 2:
-            return fl.i2 == 1
-        return fl.i3 == 0
-
-    return Tournament.from_beats(3 * n, beats)
+    full = (1 << 3 * n) - 1
+    rows = []
+    for u in range(nn):
+        # with b = u // 2, x_{u+1} is x_{2b+1} or x_{2b+2}: y_{b+1} is its
+        # sandwich vertex, the y_j with j <= b lie in the I3 class and those
+        # with j >= b+2 in the I2 class
+        b = u // 2
+        partner = 1 << (nn + b)  # y_{b+1}, beaten by x_{2b+2} only
+        row = ((1 << nn) - 1) ^ ((2 << u) - 1)  # the later x's
+        if not fl.i3:
+            row |= partner - (1 << nn)  # y_1..y_b
+        if u & 1:
+            row |= partner
+        if fl.i2:
+            row |= full ^ ((partner << 1) - 1)  # y_{b+2}..y_n
+        rows.append(row)
+    rows += [full ^ ((2 << v) - 1) if fl.i1 else 0 for v in range(nn, 3 * n)]
+    return Tournament(3 * n, _pack(rows))
 
 
 def make_M_general(k: int, n: int) -> Tournament:
@@ -180,29 +182,20 @@ def make_M_general(k: int, n: int) -> Tournament:
         raise ValueError("k must be >= 3")
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def beats(u: int, v: int) -> bool:
-        i, j = u + 1, v + 1
-        if j % k == 0 and i == j - k + 1:
-            return False
-        return True
-
-    return Tournament.from_beats(k * n, beats)
+    return _transitive(k * n, [(a, a + k - 1) for a in range(0, k * n, k)])
 
 
 def make_cyclic(n: int) -> Tournament:
     """Cyclic tournament: x_i -> x_j iff 1 <= (j - i mod n) < n/2, or the
-    literal difference j - i equals n/2 (even n)."""
+    literal difference j - i equals n/2 (even n).
+
+    For i < j that is j - i <= n//2, so the row ``_pack`` reads for u is
+    the n//2 vertices after u."""
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def beats(u: int, v: int) -> bool:
-        d = (v - u) % n
-        if 1 <= d and 2 * d < n:
-            return True
-        return 2 * (v - u) == n
-
-    return Tournament.from_beats(n, beats)
+    half = (1 << n // 2) - 1
+    full = (1 << n) - 1
+    return Tournament(n, _pack([half << (u + 1) & full for u in range(n)]))
 
 
 def make_TS(n_plus_1: int, s: Iterable[int]) -> Tournament:
@@ -214,27 +207,16 @@ def make_TS(n_plus_1: int, s: Iterable[int]) -> Tournament:
     sset = frozenset(int(i) for i in s)
     if any(i < 1 or i > n for i in sset):
         raise ValueError("S must be a subset of 1..n")
-
-    def beats(u: int, v: int) -> bool:
-        if v < n:
-            return True  # x chain, u < v
-        return (u + 1) not in sset  # pair (x_{u+1}, y)
-
-    return Tournament.from_beats(n + 1, beats)
+    return _transitive(n + 1, [(i - 1, n) for i in sset])
 
 
 def make_Tstar(spec: ReversalSpec) -> Tournament:
     """Transitive chain with the spec's t independent edges reversed."""
-    a = spec.reversed_set
-    t = spec.t
-    reversed_pairs = {
-        (a[ell - 1], a[t + spec.sigma[ell - 1] - 1]) for ell in range(1, t + 1)
-    }
-
-    def beats(u: int, v: int) -> bool:
-        return (u + 1, v + 1) not in reversed_pairs
-
-    return Tournament.from_beats(spec.n, beats)
+    a, t = spec.reversed_set, spec.t
+    # the ell-th endpoint (0-based) pairs with the (t + sigma(ell))-th
+    return _transitive(
+        spec.n, [(a[ell] - 1, a[t + s - 1] - 1) for ell, s in enumerate(spec.sigma)]
+    )
 
 
 def reconstruct_S(t: Tournament, shape: tuple[int, int]) -> frozenset[int]:

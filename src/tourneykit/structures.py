@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .families import make_type1, make_TS
-from .tournament import InfeasibleSizeError, Tournament
+from .tournament import InfeasibleSizeError, Tournament, _transitive_on
 
 DETECT_K_BOUND = 4
 
@@ -242,8 +242,6 @@ def detect_type2(t: Tournament, k: int) -> StructureWitness | None:
 def dn_membership(n: int, s: Iterable[int]) -> bool:
     """True iff the chain-plus-y tournament for S has at least two
     transitive sub-tournaments on n vertices."""
-    t = make_TS(n + 1, s)
-    transitive = sum(
-        1 for v in range(t.n) if t.delete(v).is_transitive()
-    )
-    return transitive >= 2
+    out = make_TS(n + 1, s).out_masks
+    full = (1 << len(out)) - 1
+    return sum(_transitive_on(out, full ^ 1 << v) for v in range(len(out))) >= 2

@@ -152,7 +152,12 @@ class Tournament:
 
     @classmethod
     def from_beats(cls, n: int, beats: Callable[[int, int], bool]) -> "Tournament":
-        """Build from an orientation predicate evaluated on pairs i < j."""
+        """Build from an orientation predicate evaluated on pairs i < j.
+
+        One predicate call per pair, and each bit is ORed into one growing
+        integer, so the packing is quadratic in the pair count.  The library
+        builds from it only where perfbench counts its calls (the extension
+        BFS and ``concat``); the families are built from out-mask rows."""
         bits = 0
         k = 0
         for i in range(n):

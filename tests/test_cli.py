@@ -1,5 +1,6 @@
 """Command-line surface: verbs, formats, exit codes, reproducibility."""
 
+import hashlib
 import io
 import json
 import os
@@ -496,6 +497,29 @@ def test_gen_size_cap_covers_every_family(tmp_path, capsys, params, n):
     assert "infeasible" in err and str(bound) in err
     assert f"got {n}" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "params, n, digest",
+    [
+        (["cyclic", "2048"], 2048, "ff056449f06b"),
+        (["M", "1,0,1", "682"], 2046, "45c82dc2b241"),
+        (["Mk", "4", "512"], 2048, "64ed67a84981"),
+        (["TS", "2048", "1,5,7"], 2048, "af84724d4d85"),
+        (["Tstar", "2048", "1,2,3,4", "2,1"], 2048, "1596a8ab2338"),
+        (["type1", "1023"], 2047, "295932be0115"),
+    ],
+    ids=["cyclic", "M", "Mk", "TS", "Tstar", "type1"],
+)
+def test_gen_at_the_cap(tmp_path, capsys, params, n, digest):
+    # each family is built from out-mask rows in well under a second here;
+    # the digests are sha256 prefixes of the files a per-pair predicate built
+    path = tmp_path / "t.trn"
+    code, _, err = _run(capsys, ["gen", *params, "-o", str(path)])
+    assert code == 0, err
+    text = path.read_text()
+    assert Tournament.from_trn(text).n == n
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
 
 
 def _edge_list(t, drop, repeat):

@@ -1,11 +1,13 @@
 """Generators for the named families and their reconstruction inverses."""
 
+import hashlib
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from oracles import all_labelled
 from tourneykit import (
     FamilyMembershipError,
     InfeasibleSizeError,
@@ -27,10 +29,52 @@ from tourneykit import (
     reconstruct_S,
     reconstruct_seq,
 )
+from tourneykit.canon import canonical_code
 from tourneykit.families import MAX_TOWER_LEVEL, MAX_TOWER_VERTICES
 from tourneykit.verify import composition_seqs
 
 ALL_FLAGS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+
+# sha256 of the "n bits" lines of _sweep(), taken when these constructors
+# still evaluated a predicate on every pair; building them from rows must
+# leave every vertex order and every pair bit as it was
+SWEEP_SHA256 = "dd87aa5e992719e11072c06630e0307b431c5e7fef39d28cb0082903dc6c7155"
+PEELING_FAILED = "peeling failed: no dominant vertex or dominant cyclic triangle"
+
+
+def _reversal_specs(n_max):
+    for n in range(1, n_max + 1):
+        for size in range(0, n + 1, 2):
+            for items in combinations(range(1, n + 1), size):
+                for sigma in permutations(range(1, size // 2 + 1)):
+                    yield ReversalSpec(n, items, sigma)
+
+
+def _sweep():
+    for n in range(1, 40):
+        yield make_cyclic(n)
+    for flags in ALL_FLAGS:
+        for n in range(1, 14):
+            yield make_M(flags, n)
+    for k in range(3, 8):
+        for n in range(1, 8):
+            yield make_M_general(k, n)
+    for n_plus_1 in range(1, 11):
+        for size in range(n_plus_1):
+            for s in combinations(range(1, n_plus_1), size):
+                yield make_TS(n_plus_1, s)
+    for k in range(1, 8):
+        for flavor in (0, 1):
+            yield make_type1(k, flavor)
+    for spec in _reversal_specs(8):
+        yield make_Tstar(spec)
+
+
+def test_constructors_match_their_pin():
+    digest = hashlib.sha256()
+    for t in _sweep():
+        digest.update(f"{t.n} {t.bits}\n".encode())
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 class TestStackedFamily:
@@ -68,6 +112,34 @@ class TestStackedFamily:
 
     def test_reconstruct_triangle(self):
         assert reconstruct_seq(make_T((3,))).terms == (3,)
+
+    def test_reconstruct_against_canonical_codes(self):
+        # t is a member exactly when its canonical code is that of some
+        # make_T(seq), and then seq is the answer; checked on every labelled
+        # tournament up to 6 vertices and on relabelled members up to 15
+        seqs = [(), *composition_seqs(15)]
+        by_code = {}
+        for seq in seqs:
+            t = make_T(seq)
+            by_code[t.n, canonical_code(t.n, t.bits)] = seq
+        rng = random.Random(20)
+        inputs = [t for n in range(7) for t in all_labelled(n)]
+        for seq in seqs:
+            for _ in range(2):
+                perm = list(range(sum(seq)))
+                rng.shuffle(perm)
+                inputs.append(make_T(seq).relabel(perm))
+        found = set()
+        for t in inputs:
+            want = by_code.get((t.n, canonical_code(t.n, t.bits)))
+            try:
+                got = reconstruct_seq(t).terms
+            except FamilyMembershipError as err:
+                assert want is None and str(err) == PEELING_FAILED, (t, want)
+            else:
+                assert got == want, t
+                found.add(got)
+        assert found == set(seqs)
 
     def test_reconstruct_rejects_cyclic4(self):
         with pytest.raises(FamilyMembershipError):

@@ -1,5 +1,6 @@
 """Maximal transitive sub-tournaments, type-1/2 detection, two-transitive sets."""
 
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -170,6 +171,18 @@ class TestDnMembership:
             for i in range(1, n + 2):
                 assert dn_membership(n, range(i, n + 1))
                 assert make_TS(n + 1, range(i, n + 1)).is_transitive()
+
+    def test_matches_its_pin(self):
+        # one 0/1 per S, n = 1..10; taken when the test built every
+        # one-vertex deletion as a Tournament
+        digest = hashlib.sha256()
+        for n in range(1, 11):
+            for r in range(n + 1):
+                for s in combinations(range(1, n + 1), r):
+                    digest.update(b"1" if dn_membership(n, s) else b"0")
+        assert digest.hexdigest() == (
+            "08e7f913037128a94491e42d1ffa81917e353df584e5c41585730d20956f5f8a"
+        )
 
     def test_bound(self):
         for n in range(1, 7):
