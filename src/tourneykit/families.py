@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .tournament import InfeasibleSizeError, Tournament, _pack, substitute
+from .tournament import InfeasibleSizeError, Tournament, _pack, _strong_components, substitute
 
 MAX_TOWER_LEVEL = 5
 MAX_TOWER_VERTICES = 3**MAX_TOWER_LEVEL  # 243
@@ -116,31 +116,15 @@ def make_T(seq: "CompositionSeq | Iterable[int]") -> Tournament:
 
 
 def reconstruct_seq(t: Tournament) -> CompositionSeq:
-    """Invert make_T by peeling: a dominant vertex emits 1, a dominant
-    cyclic triangle emits 3.  Raises FamilyMembershipError otherwise."""
-    out = t.out_masks
-    terms: list[int] = []
-    left = (1 << t.n) - 1  # the vertices not yet peeled
-    while left:
-        k = left.bit_count()
-        wins = {v: (out[v] & left).bit_count() for v in range(t.n) if left >> v & 1}
-        tops = [v for v, d in wins.items() if d == k - 1]
-        if tops:
-            terms.append(1)
-            left ^= 1 << tops[0]
-            continue
-        cand = [v for v, d in wins.items() if d == k - 2]
-        # three vertices that each lose once in left lose once each among
-        # themselves (their three arcs hold three losses): a cyclic triangle
-        # beating all the rest
-        if len(cand) == 3:
-            terms.append(3)
-            left ^= sum(1 << v for v in cand)
-            continue
+    """Invert make_T: its terms are the sizes of the strong components in
+    domination order (a strong 3-vertex tournament is a cyclic triangle).
+    Raises FamilyMembershipError if a component has another size."""
+    terms = tuple(part.bit_count() for part in _strong_components(t.out_masks))
+    if any(a not in (1, 3) for a in terms):
         raise FamilyMembershipError(
             "peeling failed: no dominant vertex or dominant cyclic triangle"
         )
-    return CompositionSeq(tuple(terms))
+    return CompositionSeq(terms)
 
 
 def make_M(flags: "FlagTriple | Sequence[int]", n: int) -> Tournament:

@@ -117,6 +117,26 @@ def _transitive_on(out: Sequence[int], mask: int) -> bool:
     return len(degrees) == mask.bit_count()
 
 
+def _strong_components(out: Sequence[int]) -> list[int]:
+    """The strong components of the tournament with out-masks ``out``, as
+    vertex masks in condensation order: each beats every later one.
+
+    k vertices have out-degrees summing to at least C(k, 2), the arcs among
+    them, with equality exactly when they lose to every other vertex.  Such
+    a set is a prefix of the vertices in ascending out-degree, so the
+    components are the runs between the prefixes that attain C(k, 2)."""
+    degrees = [o.bit_count() for o in out]
+    parts: list[int] = []
+    part = total = 0
+    for k, v in enumerate(sorted(range(len(out)), key=degrees.__getitem__), 1):
+        part |= 1 << v
+        total += degrees[v]
+        if total == k * (k - 1) // 2:
+            parts.append(part)
+            part = 0
+    return parts[::-1]
+
+
 def _decimal(text: str, what: str) -> int:
     """A vertex count or id: ASCII decimal digits, maybe padded by
     whitespace (int() alone also takes '_', signs and other digits)."""
@@ -196,9 +216,7 @@ class Tournament:
         self._check_vertex(v)
         if u == v:
             raise ValueError("no self-loops in a tournament")
-        if u < v:
-            return bool((self.bits >> pair_index(self.n, u, v)) & 1)
-        return not ((self.bits >> pair_index(self.n, v, u)) & 1)
+        return bool(self.out_masks[u] >> v & 1)
 
     def out_degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -273,27 +291,7 @@ class Tournament:
         Equivalently, no bipartition (A, B) with all edges A -> B exists.
         By convention n = 0 and n = 1 are strongly connected.
         """
-        n = self.n
-        if n <= 1:
-            return True
-        out = self.out_masks
-        full = (1 << n) - 1
-        for masks in (out, None):
-            seen = 1
-            frontier = 1
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    m ^= b
-                    v = b.bit_length() - 1
-                    nxt |= out[v] if masks is not None else (full ^ out[v] ^ (1 << v))
-                frontier = nxt & ~seen
-                seen |= frontier
-            if seen != full:
-                return False
-        return True
+        return len(_strong_components(self.out_masks)) <= 1
 
     # -- serialization -------------------------------------------------------
 
@@ -343,21 +341,20 @@ def substitute(quotient: Tournament, parts: Sequence[Tournament]) -> Tournament:
         raise ValueError(
             f"need one part per quotient vertex: {quotient.n} vertices, {len(parts)} parts"
         )
-    spans = []  # the vertices of each block, as a mask
-    n = 0
+    start = [0]  # start[a]: the first vertex of block a; start[-1] = n
     for p in parts:
-        spans.append(((1 << p.n) - 1) << n)
-        n += p.n
+        start.append(start[-1] + p.n)
     rows: list[int] = []
-    for p, qa in zip(parts, quotient.out_masks):
+    for p, qa, s in zip(parts, quotient.out_masks, start):
         across = 0
-        while qa:
+        while qa:  # one span per run a..b-1 of consecutive quotient vertices
             low = qa & -qa
-            qa ^= low
-            across |= spans[low.bit_length() - 1]
-        start = len(rows)
-        rows += [(o << start) | across for o in p.out_masks]
-    return Tournament(n, _pack(rows))
+            top = qa + low  # the run cleared, bit b set
+            a, b = low.bit_length() - 1, (top & -top).bit_length() - 1
+            across |= (1 << start[b]) - (1 << start[a])
+            qa &= top
+        rows += [(o << s) | across for o in p.out_masks]
+    return Tournament(start[-1], _pack(rows))
 
 
 def random_tournament(n: int, rng: random.Random | int | None = None) -> Tournament:

@@ -29,7 +29,10 @@ maps in lexicographic order.
 ``all_seeds_t_family_table`` seeds the stacked-family closure with every
 composition, not only those of the largest sum.  ``reference_bits_to_line``
 and ``reference_line_to_bits`` convert between packed pair bits and the
-'0'/'1' body line one character at a time.
+'0'/'1' body line one character at a time.  ``brute_strong_components``
+groups the vertices by mutual reachability, the reference for the
+score-sequence kernel, and ``reference_substitute`` ORs in one block span
+per quotient arc, the reference for the substitution by runs.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from tourneykit import Tournament, canonical_form, make_T, pair_count, pair_index
 from tourneykit.speed import SpeedTable, _rejected_masks, hereditary_closure
-from tourneykit.tournament import line_to_bits
+from tourneykit.tournament import _pack, line_to_bits
 from tourneykit.verify import composition_seqs
 
 
@@ -226,6 +229,48 @@ def brute_strongly_connected(t: Tournament) -> bool:
         if all(t.beats(x, y) for x in a for y in b):
             return False
     return True
+
+
+def brute_strong_components(t: Tournament) -> list[int]:
+    """The classes of mutual reachability, as vertex masks, each found by
+    a closure over the per-pair decode; ordered by how many vertices a
+    member reaches, most first, which puts each before those it beats."""
+    out = pair_out_masks(t)
+    reach = []
+    for v in range(t.n):
+        seen = 1 << v
+        grown = True
+        while grown:
+            nxt = seen
+            for u in range(t.n):
+                if seen >> u & 1:
+                    nxt |= out[u]
+            grown, seen = nxt != seen, nxt
+        reach.append(seen)
+    classes = {}
+    for v in range(t.n):
+        key = sum(1 << u for u in range(t.n) if reach[v] >> u & 1 and reach[u] >> v & 1)
+        classes[key] = reach[v].bit_count()
+    return sorted(classes, key=lambda c: -classes[c])
+
+
+def reference_substitute(quotient: Tournament, parts) -> Tournament:
+    """Substitution with one block span ORed in per arc of the quotient."""
+    spans = []
+    n = 0
+    for p in parts:
+        spans.append(((1 << p.n) - 1) << n)
+        n += p.n
+    rows: list[int] = []
+    for p, qa in zip(parts, quotient.out_masks):
+        across = 0
+        while qa:
+            low = qa & -qa
+            qa ^= low
+            across |= spans[low.bit_length() - 1]
+        start = len(rows)
+        rows += [(o << start) | across for o in p.out_masks]
+    return Tournament(n, _pack(rows))
 
 
 def _chain_order(t: Tournament, sub: tuple[int, ...]) -> list[int] | None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_labelled
+from oracles import all_labelled, reference_substitute
 from tourneykit import (
     BlockRelationError,
     SeparationError,
@@ -163,6 +163,18 @@ class TestSubstitute:
             perm = list(range(t.n))
             rng.shuffle(perm)
             _assert_round_trip(t.relabel(perm))
+
+    def test_against_one_span_per_arc(self):
+        # random quotients whose parts include 0-vertex ones, which make
+        # runs of quotient vertices that span no vertex at all
+        rng = random.Random(22)
+        for _ in range(500):
+            q = random_tournament(rng.randrange(0, 13), rng)
+            parts = [random_tournament(rng.choice((0, 0, 1, 1, 2, 3, 5)), rng) for _ in range(q.n)]
+            assert substitute(q, parts) == reference_substitute(q, parts), (q, parts)
+        for k in (1, 2, 40, 300):
+            parts = [Tournament(1)] * k
+            assert substitute(transitive(k), parts) == reference_substitute(transitive(k), parts)
 
     def test_parts_must_match_the_quotient(self):
         with pytest.raises(ValueError):

@@ -508,12 +508,14 @@ def test_gen_size_cap_covers_every_family(tmp_path, capsys, params, n):
         (["TS", "2048", "1,5,7"], 2048, "af84724d4d85"),
         (["Tstar", "2048", "1,2,3,4", "2,1"], 2048, "1596a8ab2338"),
         (["type1", "1023"], 2047, "295932be0115"),
+        (["T", ",".join(["1"] * 2048)], 2048, "d1c986ba5549"),
     ],
-    ids=["cyclic", "M", "Mk", "TS", "Tstar", "type1"],
+    ids=["cyclic", "M", "Mk", "TS", "Tstar", "type1", "T"],
 )
 def test_gen_at_the_cap(tmp_path, capsys, params, n, digest):
     # each family is built from out-mask rows in well under a second here;
     # the digests are sha256 prefixes of the files a per-pair predicate built
+    # (for T, of the file one block span per quotient arc built)
     path = tmp_path / "t.trn"
     code, _, err = _run(capsys, ["gen", *params, "-o", str(path)])
     assert code == 0, err

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_labelled,
     brute_has_cyclic_triangle,
+    brute_strong_components,
     brute_strongly_connected,
     pair_out_masks,
     reference_bits_to_line,
@@ -22,10 +24,18 @@ from tourneykit import (
     make_T,
     make_cyclic,
     pair_count,
+    pair_index,
     random_tournament,
     read_edge_list,
+    substitute,
 )
-from tourneykit.tournament import _delete_bits, _delete_out, bits_to_line, line_to_bits
+from tourneykit.tournament import (
+    _delete_bits,
+    _delete_out,
+    _strong_components,
+    bits_to_line,
+    line_to_bits,
+)
 
 
 def tournaments(max_n=8):
@@ -61,6 +71,15 @@ class TestEncoding:
             for _ in range(5):
                 t = random_tournament(n, rng)
                 assert t.out_masks == pair_out_masks(t), (n, t)
+
+    def test_beats_reads_the_pair_bit(self):
+        for n in range(6):
+            for t in all_labelled(n):
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            bit = t.bits >> pair_index(n, min(u, v), max(u, v)) & 1
+                            assert t.beats(u, v) == bool(bit ^ (u > v)), (t, u, v)
 
     def test_out_degrees_sum(self):
         for n in range(9):
@@ -210,10 +229,35 @@ class TestDegreesAndPredicates:
         for n in range(2, 7):
             assert not transitive(n).is_strongly_connected()
 
+    def test_strong_connectivity_vs_bipartition_exhaustive(self):
+        for n in range(7):
+            for t in all_labelled(n):
+                assert t.is_strongly_connected() == brute_strongly_connected(t), t
+
     @given(tournaments(7))
     @settings(max_examples=120, deadline=None)
     def test_strong_connectivity_vs_bipartition(self, t):
         assert t.is_strongly_connected() == brute_strongly_connected(t)
+
+
+class TestStrongComponents:
+    def test_against_reachability_exhaustive(self):
+        for n in range(7):
+            for t in all_labelled(n):
+                assert _strong_components(t.out_masks) == brute_strong_components(t), t
+
+    def test_against_reachability_on_relabelled_substitutions(self):
+        # parts strong or not on a transitive quotient: the components are
+        # those of the parts, in quotient order
+        rng = random.Random(21)
+        for _ in range(400):
+            k = rng.randrange(1, 12)
+            parts = [random_tournament(rng.randrange(0, 7), rng) for _ in range(k)]
+            t = substitute(transitive(k), parts)
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            t = t.relabel(perm)
+            assert _strong_components(t.out_masks) == brute_strong_components(t), t
 
 
 class TestConcat:
