@@ -559,6 +559,7 @@ def check_supermultiplicative(
     if not all(h.is_strongly_connected() for h in forbidden):
         raise ValueError("supermultiplicativity requires strongly connected forbidden patterns")
     depth = max(table.levels(), default=0)
+    members = {n: table.members(n) for n in range(1, depth)}
     inequalities = []
     witness_failures: list[str] = []
     for m in range(1, depth):
@@ -567,8 +568,8 @@ def check_supermultiplicative(
             inequalities.append((m, n, cm * cn, cmn, cmn >= cm * cn))
             target = table.codes.get(m + n, frozenset())
             seen: set[int] = set()  # each (m, n) pair of members is met once
-            for g1 in table.members(m):
-                for g2 in table.members(n):
+            for g1 in members[m]:
+                for g2 in members[n]:
                     w = _canon_code(m + n, concat(g1, g2).bits)
                     if w not in target:
                         witness_failures.append(

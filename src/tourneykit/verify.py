@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import inspect
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterator
@@ -50,6 +51,16 @@ class Case:
     passed: bool
 
 
+_RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le, "<": operator.lt}
+
+
+def _case(name: str, observed, relation: str, want, what: str = "") -> Case:
+    """A case whose required text and pass flag come from one relation:
+    "<relation> <what> = <want>", or "<relation> <want>" without a what."""
+    required = f"{relation} {what} = {want}" if what else f"{relation} {want}"
+    return Case(name, observed, required, _RELATIONS[relation](observed, want))
+
+
 @dataclass
 class VerifyReport:
     lemma_id: str
@@ -67,15 +78,7 @@ class VerifyReport:
                 "id": self.lemma_id,
                 "parameters": dict(sorted(self.parameters.items())),
                 "passed": self.passed,
-                "cases": [
-                    {
-                        "name": c.name,
-                        "observed": c.observed,
-                        "required": c.required,
-                        "passed": c.passed,
-                    }
-                    for c in self.cases
-                ],
+                "cases": [asdict(c) for c in self.cases],
             },
             sort_keys=True,
             indent=2,
@@ -125,16 +128,11 @@ def _dn_shape(n: int, s: frozenset[int]) -> bool:
 def verify_t_equals_fstar(n_max: int = 10) -> VerifyReport:
     table = t_family_table(n_max + 3, n_max)
     cases = [
-        Case(
-            f"n={n}",
-            table.count(n),
-            f"== fstar({n}) = {fstar(n)}",
-            table.count(n) == fstar(n),
-        )
+        _case(f"n={n}", table.count(n), "==", fstar(n), f"fstar({n})")
         for n in range(1, n_max + 1)
     ]
-    cases.append(Case("fstar(4)", fstar(4), "== 3", fstar(4) == 3))
-    cases.append(Case("fstar(5)", fstar(5), "== 4", fstar(5) == 4))
+    cases.append(_case("fstar(4)", fstar(4), "==", 3))
+    cases.append(_case("fstar(5)", fstar(5), "==", 4))
     return VerifyReport("T-equals-Fstar", {"n_max": n_max}, cases)
 
 
@@ -147,14 +145,9 @@ def verify_dn_bound(n_max: int = 8) -> VerifyReport:
             for s in combinations(range(1, n + 1), r)
             if dn_membership(n, s)
         ]
-        bound = 2 * comb(n, 2) + n + 1
-        cases.append(
-            Case(f"n={n} size", len(members), f"<= {bound}", len(members) <= bound)
-        )
+        cases.append(_case(f"n={n} size", len(members), "<=", 2 * comb(n, 2) + n + 1))
         bad = [s for s in members if not _dn_shape(n, s)]
-        cases.append(
-            Case(f"n={n} shapes", len(bad), "== 0 members off-shape", not bad)
-        )
+        cases.append(Case(f"n={n} shapes", len(bad), "== 0 members off-shape", not bad))
     return VerifyReport("Dn-bound", {"n_max": n_max}, cases)
 
 
@@ -166,9 +159,7 @@ def verify_l111(n_max: int = 9, m_max: int = 12) -> VerifyReport:
         cases.append(
             Case(f"n={n} stabilized", stable, "stabilization reached", stable is not None)
         )
-        cases.append(
-            Case(f"n={n} count", final, f"== fstar({n}) = {fstar(n)}", final == fstar(n))
-        )
+        cases.append(_case(f"n={n} count", final, "==", fstar(n), f"fstar({n})"))
     return VerifyReport("L111", {"n_max": n_max, "m_max": m_max}, cases)
 
 
@@ -184,12 +175,10 @@ def _verify_flag_lower(
     for flags in flag_triples:
         for n in range(1, n_max + 1):
             values, stable = count_sub_L_scan(flags, n, m_max=m_max)
-            final = values[-1][1]
-            need = bound(n)
             # no stabilization in budget: monotonicity was asserted by the
             # scan, so the bound is required at the largest feasible m
             label = f"I={flags} n={n}" + (" (unstabilized)" if stable is None else "")
-            cases.append(Case(label, final, f">= {bound_desc} = {need}", final >= need))
+            cases.append(_case(label, values[-1][1], ">=", bound(n), bound_desc))
     return VerifyReport(
         lemma_id,
         {"n_max": n_max, "m_max": m_max, "flags": [list(f) for f in flag_triples]},
@@ -202,7 +191,7 @@ def verify_l_i2_neq_i3(n_max: int = 6, m_max: int = 10) -> VerifyReport:
     return _verify_flag_lower(
         "L-I2neqI3",
         triples,
-        lambda n: max(1, 2 ** (n - 2)) if n >= 2 else 1,
+        lambda n: 2 ** (n - 2) if n >= 2 else 1,
         "2^(n-2)",
         n_max,
         m_max,
@@ -221,13 +210,11 @@ def verify_l_i1_zero(n_max: int = 6, m_max: int = 10) -> VerifyReport:
 
 
 def verify_cyclic_count(n_max: int = 8) -> VerifyReport:
-    cases = []
-    for n in range(1, n_max + 1):
-        c = count_cyclic_subs(n)
-        need = _cyclic_lower(n)
-        cases.append(Case(f"n={n}", c, f">= ceil(2^(n-1)/n) = {need}", c >= need))
-    c3 = count_cyclic_subs(3)
-    cases.append(Case("n=3 exact", c3, "== 2", c3 == 2))
+    cases = [
+        _case(f"n={n}", count_cyclic_subs(n), ">=", _cyclic_lower(n), "ceil(2^(n-1)/n)")
+        for n in range(1, n_max + 1)
+    ]
+    cases.append(_case("n=3 exact", count_cyclic_subs(3), "==", 2))
     return VerifyReport("cyclic-count", {"n_max": n_max}, cases)
 
 
@@ -236,16 +223,12 @@ def verify_olarge(n_max: int = 30) -> VerifyReport:
         Case(f"({c.label}) n={c.n}", c.lhs, f"vs fstar-side {c.rhs}", c.holds)
         for c in check_olarge(n_max)
     ]
-    tight = [
-        ("i tight at 6", count_tn_lower(6), fstar(6)),
-        ("ii tight at 6", _i1zero_lower(6), fstar(6)),
-        ("iii tight at 6", _cyclic_lower(6), fstar(6)),
-        ("iii exception at 4", _cyclic_lower(4), fstar(4)),
+    cases += [
+        _case("i tight at 6", count_tn_lower(6), "==", fstar(6)),
+        _case("ii tight at 6", _i1zero_lower(6), "==", fstar(6)),
+        _case("iii tight at 6", _cyclic_lower(6), "==", fstar(6)),
+        _case("iii exception at 4", _cyclic_lower(4), "<", fstar(4)),
     ]
-    for name, lhs, rhs in tight[:3]:
-        cases.append(Case(name, lhs, f"== {rhs}", lhs == rhs))
-    name, lhs, rhs = tight[3]
-    cases.append(Case(name, lhs, f"< {rhs}", lhs < rhs))
     return VerifyReport("olarge", {"n_max": n_max}, cases)
 
 
@@ -257,20 +240,12 @@ def cyclic_family_table(m_max: int = 12, n_max: int = 5) -> SpeedTable:
 
 
 def verify_osmall() -> VerifyReport:
-    cases = []
     cyc = cyclic_family_table(12, 5)
-    for n, need in ((1, 1), (2, 1), (3, 2)):
-        cases.append(
-            Case(
-                f"(a) cyclic family n={n}",
-                cyc.count(n),
-                f">= fstar({n}) = {need}",
-                cyc.count(n) >= need,
-            )
-        )
-    cases.append(
-        Case("(d) cyclic family n=4", cyc.count(4), "== 2", cyc.count(4) == 2)
-    )
+    cases = [
+        _case(f"(a) cyclic family n={n}", cyc.count(n), ">=", fstar(n), f"fstar({n})")
+        for n in (1, 2, 3)
+    ]
+    cases.append(_case("(d) cyclic family n=4", cyc.count(4), "==", 2))
     t5 = {
         canonical_code(5, make_T(seq).bits)
         for seq in composition_seqs(5)
@@ -281,33 +256,15 @@ def verify_osmall() -> VerifyReport:
             [make_type1(3, flavor)], 5, seed_description=f"type1(3,{flavor})"
         )
         lvl5 = tab.codes.get(5, frozenset())
-        cases.append(
-            Case(
-                f"(b) type1(3,{flavor}) n=5",
-                tab.count(5),
-                ">= 4",
-                tab.count(5) >= 4,
-            )
-        )
-        cases.append(
-            Case(
-                f"(b) type1(3,{flavor}) contains stacked family level 5",
-                len(t5 & lvl5),
-                f"== {len(t5)}",
-                t5 <= lvl5,
-            )
-        )
+        cases.append(_case(f"(b) type1(3,{flavor}) n=5", tab.count(5), ">=", 4))
+        name = f"(b) type1(3,{flavor}) contains stacked family level 5"
+        cases.append(_case(name, len(t5 & lvl5), "==", len(t5)))
     for flags in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
         tab = hereditary_closure(
             [make_M(flags, 3)], 5, seed_description=f"M{flags} level 3"
         )
         cases.append(
-            Case(
-                f"(c) M_I(3) I={flags} n=5",
-                tab.count(5),
-                ">= fstar(5) = 4",
-                tab.count(5) >= 4,
-            )
+            _case(f"(c) M_I(3) I={flags} n=5", tab.count(5), ">=", fstar(5), "fstar(5)")
         )
     return VerifyReport("osmall", {}, cases)
 
@@ -321,9 +278,7 @@ def verify_moon_aut(level_max: int = 3) -> VerifyReport:
         k = 3**level
         want = 3 ** ((k - 1) // 2)
         got = automorphism_order(tower)
-        cases.append(
-            Case(f"level={level} (k={k})", got, f"== 3^((k-1)/2) = {want}", got == want)
-        )
+        cases.append(_case(f"level={level} (k={k})", got, "==", want, "3^((k-1)/2)"))
     return VerifyReport("moon-aut", {"level_max": level_max}, cases)
 
 
@@ -332,31 +287,15 @@ def verify_fekete(n_max: int = 9) -> VerifyReport:
     table = avoidance_closure([c4], n_max, seed_description="avoid cyclic(4)")
     report = check_supermultiplicative(table, forbidden=[c4])
     cases = [
-        Case(
-            f"m={m} n={n}",
-            cnt,
-            f">= product {prod}",
-            ok,
-        )
+        Case(f"m={m} n={n}", cnt, f">= product {prod}", ok)
         for m, n, prod, cnt, ok in report.inequalities
     ]
-    cases.append(
-        Case(
-            "witnesses",
-            len(report.witness_failures),
-            "== 0 failures",
-            not report.witness_failures,
-        )
-    )
-    for n in range(1, n_max + 1):
-        cases.append(
-            Case(
-                f"cross-check count n={n}",
-                table.count(n),
-                f"== fstar({n}) = {fstar(n)}",
-                table.count(n) == fstar(n),
-            )
-        )
+    failures = report.witness_failures
+    cases.append(Case("witnesses", len(failures), "== 0 failures", not failures))
+    cases += [
+        _case(f"cross-check count n={n}", table.count(n), "==", fstar(n), f"fstar({n})")
+        for n in range(1, n_max + 1)
+    ]
     return VerifyReport("fekete", {"n_max": n_max}, cases)
 
 
@@ -382,13 +321,9 @@ def verify_lemma3_bound(n_max: int = 10) -> VerifyReport:
         m = m_plus_1 - 1
         for n in table.levels():
             bound = 2 ** (m_plus_1**2) * comb(n + m, m)
+            label = f"{name} n={n} (B={m_plus_1})"
             cases.append(
-                Case(
-                    f"{name} n={n} (B={m_plus_1})",
-                    table.count(n),
-                    f"<= 2^(B^2)*C(n+B-1,B-1) = {bound}",
-                    table.count(n) <= bound,
-                )
+                _case(label, table.count(n), "<=", bound, "2^(B^2)*C(n+B-1,B-1)")
             )
     return VerifyReport("lemma3-bound", {"n_max": n_max}, cases)
 
@@ -398,9 +333,7 @@ def verify_type1_count(n_max: int = 9) -> VerifyReport:
     for n in range(2, n_max + 1):
         got = type1_tn_classes(n)
         need = count_tn_lower(n)
-        cases.append(
-            Case(f"n={n}", got, f">= 2^(n-1) - 2*C(n-1,2) - n = {need}", got >= need)
-        )
+        cases.append(_case(f"n={n}", got, ">=", need, "2^(n-1) - 2*C(n-1,2) - n"))
     return VerifyReport("type1-count", {"n_max": n_max}, cases)
 
 

@@ -1,9 +1,16 @@
-"""Every verification report at its defaults, pinned byte for byte."""
+"""Every verification report at its defaults, pinned byte for byte; each
+case's pass flag agrees with the relation its required text states, and a
+wrong count fails the case it feeds."""
 
 import hashlib
+import operator
+import re
+from functools import cache
 
 import pytest
 
+from tourneykit import fstar, verify
+from tourneykit.cli import run
 from tourneykit.verify import LEMMA_IDS, run_lemma
 
 # sha256 of run_lemma(id).to_json() at the defaults; a change to a report
@@ -24,11 +31,70 @@ PINNED = {
 }
 
 
+@cache
+def _report(lemma_id):
+    """The report at the defaults, built once for the pin and agreement tests."""
+    return run_lemma(lemma_id)
+
+
 def test_every_id_is_pinned():
     assert sorted(PINNED) == sorted(LEMMA_IDS)
 
 
 @pytest.mark.parametrize("lemma_id", sorted(PINNED))
 def test_report_matches_its_pin(lemma_id):
-    text = run_lemma(lemma_id).to_json()
+    text = _report(lemma_id).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[lemma_id], text
+
+
+RELATIONS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le, "<": operator.lt}
+# "<rel> <int>" or "<rel> <what> = <int>"
+STATED = re.compile(r"(==|>=|<=|<) (?:.+ = )?(-?\d+)")
+
+
+@pytest.mark.parametrize("lemma_id", sorted(PINNED))
+def test_passed_agrees_with_the_stated_relation(lemma_id):
+    stated = 0
+    for case in _report(lemma_id).cases:
+        m = STATED.fullmatch(case.required)
+        if m:
+            stated += 1
+            want = int(m.group(2))
+            assert case.passed == RELATIONS[m.group(1)](case.observed, want), case
+    assert stated, f"{lemma_id} states no relation against a number"
+
+
+class _OnePastFstar:
+    """A stand-in speed table whose every level counts fstar(n) + 1."""
+
+    def count(self, n):
+        return fstar(n) + 1
+
+
+# relation -> (id, its --n-max, counting call to replace, wrong stand-in,
+# the case that must fail)
+FAULTS = {
+    "==": ("T-equals-Fstar", 4, "t_family_table", lambda s, n: _OnePastFstar(), "n=4"),
+    ">=": ("cyclic-count", 4, "count_cyclic_subs", lambda n: 0, "n=4"),
+    "<=": ("Dn-bound", 5, "dn_membership", lambda n, s: True, "n=5 size"),
+    "<": ("olarge", 6, "_cyclic_lower", fstar, "iii exception at 4"),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(FAULTS))
+def test_a_wrong_count_fails_its_case(relation, monkeypatch, capsys):
+    lemma_id, n_max, name, wrong, case_name = FAULTS[relation]
+
+    def case():
+        (c,) = [c for c in run_lemma(lemma_id, n_max=n_max).cases if c.name == case_name]
+        return c
+
+    honest = case()
+    monkeypatch.setattr(verify, name, wrong)
+    faulty = case()
+    assert honest.required.startswith(relation + " ")
+    assert honest.passed and not faulty.passed
+    assert faulty.observed != honest.observed
+    assert faulty.required == honest.required
+    assert run(["verify", lemma_id, "--n-max", str(n_max)]) == 1
+    assert "FAIL" in capsys.readouterr().err
