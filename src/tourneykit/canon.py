@@ -16,9 +16,12 @@ split.  Only the first cell's vertices that realise the minimal row are
 children of a node, so every leaf whose line is lex-min is in the tree.
 A row is one 0...01...1 segment per cell, of fixed width, so rows
 compare as the vectors of out-counts per cell: the children are found by
-narrowing the first cell one cell's count at a time, and only they get a
-row and a refined partition.  The search runs on out-masks, which the
-deletion closure derives for each child from its parent's.
+narrowing the first cell one cell's count at a time.  Only the first
+child gets the row and a refined partition when its node is expanded; a
+later child's partition is split off the node's cells when the walk
+takes that child, so a skipped child costs none.  The search runs on
+out-masks, which the deletion closure derives for each child from its
+parent's.
 
 The tree is walked depth first with an explicit stack of branch points,
 the nodes with more than one tied child (no recursion), pruned in two
@@ -32,7 +35,10 @@ exact ways:
   the best leaf's subtree onto the current one, so the current child is
   abandoned; the automorphisms fixing a node's prefix pointwise permute
   its tied children, so a child in the orbit of an explored sibling under
-  the known and found automorphisms that fix the prefix is skipped.
+  the known and found automorphisms that fix the prefix is skipped.  Each
+  branch point keeps those that move one of its children, and the vertex
+  mask of its finished children's orbits under them (``orbit_mask``),
+  closed again whenever an equal leaf adds a generator.
 
 Once every cell of a child's partition is a single vertex, every node
 below it has one child and the rest of the path is forced.
@@ -43,9 +49,10 @@ still cuts the tail at its first larger row, and a tail that runs to the
 end is a leaf like any other.
 
 The same walk yields |Aut| by orbit-stabiliser: the product, over the
-best leaf's branch points, of the best child's class in the finished
-branch's orbits, which is its orbit under the automorphisms fixing the
-prefix (notes/decisions.md); a better leaf restarts the product.
+best leaf's branch points, of the size of the best child's orbit under
+the finished branch's automorphisms, which is its orbit under all
+automorphisms fixing the prefix (notes/decisions.md); a better leaf
+restarts the product.
 
 The caller may hand the search automorphisms it already knows
 (``canonical_code_and_automorphisms``); the deletion closure hands each
@@ -149,16 +156,16 @@ def orbit_mask(start: int, gens: Sequence[Sequence[int]]) -> int:
 
 def _expand(
     out: Sequence[int], cells: tuple[int, ...]
-) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
-    """Minimal next row over the first cell's vertices, and each vertex
-    attaining it, in ascending order, with the refined partition of the
-    vertices left.
+) -> tuple[int, list[int], tuple[int, ...]]:
+    """Minimal next row over the first cell's vertices, the vertices
+    attaining it in ascending order, and the first one's refined partition
+    of the vertices left (``_split`` gives the others' when they are taken).
 
     A vertex's row is one 0...01...1 segment per cell (the first less the
     vertex) of fixed width, so rows compare as the vectors of the vertex's
     out-counts per cell.  The first cell's vertices are narrowed one cell
     at a time to those of least count, stopping once one is left; the row
-    is built for the first survivor and the partitions for the survivors.
+    and the partition are built for the first survivor.
     """
     first = cells[0]
     rest = cells[1:]
@@ -189,74 +196,68 @@ def _expand(
             cand = keep
             if len(cand) == 1:
                 break
-    row = 0
-    kids: list[tuple[int, tuple[int, ...]]] = []
-    for v in cand:
-        ov = out[v]
-        op = first & ov
-        ip = first ^ (1 << v) ^ op
-        split = []
+    v = cand[0]
+    ov = out[v]
+    op = first & ov
+    ip = first ^ (1 << v) ^ op
+    split = []
+    if ip:
+        split.append(ip)
+    if op:
+        split.append(op)
+    row = (1 << op.bit_count()) - 1
+    for cell in rest:
+        op = cell & ov
+        ip = cell ^ op
+        row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
         if ip:
             split.append(ip)
         if op:
             split.append(op)
-        if kids:
-            for cell in rest:
-                op = cell & ov
-                ip = cell ^ op
-                if ip:
-                    split.append(ip)
-                if op:
-                    split.append(op)
-        else:  # the first survivor also spells the row
-            row = (1 << op.bit_count()) - 1
-            for cell in rest:
-                op = cell & ov
-                ip = cell ^ op
-                row = (row << cell.bit_count()) | ((1 << op.bit_count()) - 1)
-                if ip:
-                    split.append(ip)
-                if op:
-                    split.append(op)
-        kids.append((v, tuple(split)))
-    return row, kids
+    return row, cand, tuple(split)
 
 
-def _find(uf: list[int], x: int) -> int:
-    while uf[x] != x:
-        uf[x] = uf[uf[x]]
-        x = uf[x]
-    return x
+def _split(out: Sequence[int], cells: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The refined partition of the vertices left once v, a vertex of the
+    first cell, is placed: each cell, the first less v, split into v's
+    in-neighbours, then its out-neighbours."""
+    ov = out[v]
+    op = cells[0] & ov
+    ip = cells[0] ^ (1 << v) ^ op
+    split = []
+    if ip:
+        split.append(ip)
+    if op:
+        split.append(op)
+    for cell in cells[1:]:
+        op = cell & ov
+        ip = cell ^ op
+        if ip:
+            split.append(ip)
+        if op:
+            split.append(op)
+    return tuple(split)
 
 
 class _Branch:
-    """A search node whose tied children are explored one after another.
+    """A search node whose tied kids are explored one after another.
 
-    Its kids are (vertex, refined cells); all of them have the row ``row``.
-    ``done`` lists the finished kids' vertices.  ``orbits`` is a
-    union-find over vertices, joining kids that automorphisms fixing the
-    node's prefix map onto each other.
+    ``kids`` is the mask of its tied vertices, all with the row ``row``;
+    a kid's partition is split off the node's ``cells`` when it is taken.
+    ``gens`` are the known automorphisms that fix the node's prefix and
+    move some kid, and ``covered`` is the mask of the finished kids'
+    orbits under them: a kid in it is skipped.
     """
 
-    __slots__ = ("depth", "kids", "row", "taken", "done", "orbits")
+    __slots__ = ("depth", "cells", "row", "kids", "gens", "covered")
 
-    def __init__(self, depth: int, kids: list, row: int):
+    def __init__(self, depth: int, cells: tuple[int, ...], row: int, kids: int, gens: list):
         self.depth = depth
-        self.kids = kids
+        self.cells = cells
         self.row = row
-        self.taken = 1  # kids taken so far, the current one included
-        self.done: list[int] = []
-        self.orbits: list[int] | None = None
-
-    def merge(self, gamma: Sequence[int]) -> None:
-        """Join each kid's orbit with that of its image under gamma."""
-        if self.orbits is None:
-            self.orbits = list(range(len(gamma)))
-        uf = self.orbits
-        for kid in self.kids:
-            a, b = _find(uf, kid[0]), _find(uf, gamma[kid[0]])
-            if a != b:
-                uf[max(a, b)] = min(a, b)
+        self.kids = kids
+        self.gens = gens
+        self.covered = 0
 
 
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -390,29 +391,33 @@ def _search(
     # stack's lowest branch points lie on the best leaf's path
     order, ancestors = 1, 0
     better = True  # the path's rows beat the best leaf's (none yet)
-    row, tied = _expand(out, ((1 << n) - 1,))
+    node = ((1 << n) - 1,)  # the partition of the vertices left
+    row, kids, cells = _expand(out, node)  # cells: kids[0]'s partition
     while True:
         d = len(path)
         if not better and row != best_rows[d]:
             better = row < best_rows[d]
             if not better:
-                tied = []  # cut: rows exceed the best leaf's
-        if len(tied) > 1:
-            branch = _Branch(d, tied, row)
+                kids = []  # cut: rows exceed the best leaf's
+        if len(kids) > 1:
+            mask = 0
+            for v in kids:
+                mask |= 1 << v
+            gens = []
             if autos:
                 prefix = 0
                 for p in path:
                     prefix |= 1 << p
-                for gamma, fixed in autos:
-                    if fixed & prefix == prefix:
-                        branch.merge(gamma)
-            stack.append(branch)
-        if tied:
-            v, cells = tied[0]
+                gens = [
+                    g for g, fixed in autos if fixed & prefix == prefix and fixed & mask != mask
+                ]
+            stack.append(_Branch(d, node, row, mask, gens))
+        if kids:
             rows.append(row)
-            path.append(v)
+            path.append(kids[0])
             if len(cells) <= last - d:
-                row, tied = _expand(out, cells)
+                node = cells
+                row, kids, cells = _expand(out, node)
                 continue
             # every cell is one vertex: the rest of the path is forced
             better = _forced_tail(out, cells, rows, path, best_rows, better)
@@ -430,42 +435,35 @@ def _search(
                     gamma = [0] * n
                     for x, y in zip(best_path, path):
                         gamma[x] = y
-                    autos.append((gamma, _fixed_points(gamma)))
+                    fixed = _fixed_points(gamma)
+                    autos.append((gamma, fixed))
                     div = 0
                     while path[div] == best_path[div]:
                         div += 1
                     while stack[-1].depth > div:
                         stack.pop()
                     for b in stack:
-                        b.merge(gamma)
-        # The deepest branch's current kid is finished: move on to its next
-        # kid outside the orbits of the finished ones, popping spent branches;
-        # a spent one on the best leaf's path multiplies in the best kid's.
+                        if fixed & b.kids != b.kids:  # gamma moves a kid of b
+                            b.gens.append(gamma)
+                            b.covered = orbit_mask(b.covered, b.gens)
+        # The deepest branch's current kid is finished: its orbit joins the
+        # covered kids, and the least kid outside them is taken next.  Spent
+        # branches are popped; one on the best leaf's path multiplies in the
+        # best kid's orbit.
         while True:
             b = stack[-1]
-            b.done.append(b.kids[b.taken - 1][0])
-            kid = None
-            while b.taken < len(b.kids):
-                kid = b.kids[b.taken]
-                b.taken += 1
-                uf = b.orbits
-                if uf is None:
-                    break
-                r = _find(uf, kid[0])
-                if all(_find(uf, u) != r for u in b.done):
-                    break
-                kid = None
-            if kid is not None:
+            b.covered |= orbit_mask(1 << path[b.depth], b.gens)
+            left = b.kids & ~b.covered
+            if left:
                 break
             stack.pop()
             if len(stack) < ancestors:
                 ancestors = len(stack)
-                uf = b.orbits
-                if uf is not None:
-                    r = _find(uf, best_path[b.depth])
-                    order *= sum(_find(uf, u) == r for u, _ in b.kids)
+                order *= orbit_mask(1 << best_path[b.depth], b.gens).bit_count()
             if not stack:
                 return _code(n, best_rows), order, best_path, autos
         del path[b.depth :], rows[b.depth :]
-        row, tied = b.row, [kid]
+        v = (left & -left).bit_length() - 1
+        node = b.cells
+        row, kids, cells = b.row, [v], _split(out, node, v)
         better = False

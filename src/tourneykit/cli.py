@@ -67,7 +67,7 @@ FAMILIES = {
 def _load(path: str) -> Tournament:
     text = Path(path).read_text()
     first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if " " in first.strip():
+    if len(first.split()) > 1:  # "u v", split on any whitespace
         from .tournament import read_edge_list
 
         return read_edge_list(text)

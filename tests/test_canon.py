@@ -45,6 +45,7 @@ from tourneykit import canon
 from tourneykit.canon import (
     _expand,
     _search,
+    _split,
     _triangle_rotations,
     canonical_code_and_automorphisms,
 )
@@ -268,9 +269,26 @@ class TestAgainstBeamSearch:
             assert canonical_form(relabelled(t, seed)).bits == want
 
 
+def checked_expand(out, cells):
+    """``_expand`` on a node, asserted equal to the full-row reference: the
+    same minimal row, the same tied kids in the same order, and for every
+    kid the partition ``_split`` gives (the first kid's also from
+    ``_expand`` itself)."""
+    got = _expand(out, cells)
+    row, kids, first = got
+    want_row, want_kids = reference_expand(out, cells)
+    assert row == want_row, (out, cells)
+    assert kids == [v for v, _ in want_kids], (out, cells)
+    assert first == want_kids[0][1], (out, cells)
+    for v, part in want_kids:
+        assert _split(out, cells, v) == part, (out, cells, v)
+    return got
+
+
 class TestExpand:
     """The narrowing node expansion against the full-row reference: the
-    same minimal row and the same tied kids in the same order."""
+    same minimal row, the same tied kids in the same order, and the same
+    partition below each kid."""
 
     def test_random_ordered_partitions(self):
         rng = random.Random(14)
@@ -287,9 +305,7 @@ class TestExpand:
                 k = rng.randrange(1, len(vs) + 1)
                 cells.append(sum(1 << v for v in vs[:k]))
                 vs = vs[k:]
-            cells = tuple(cells)
-            want = reference_expand(t.out_masks, cells)
-            assert _expand(t.out_masks, cells) == want, (t, cells)
+            checked_expand(t.out_masks, tuple(cells))
 
     @pytest.mark.parametrize(
         "build, symmetric",
@@ -307,8 +323,7 @@ class TestExpand:
         kids = []
 
         def checked(out, cells):
-            got = _expand(out, cells)
-            assert got == reference_expand(out, cells), (out, cells)
+            got = checked_expand(out, cells)
             kids.append(len(got[1]))
             return got
 
@@ -319,6 +334,75 @@ class TestExpand:
         assert kids
         if symmetric:  # automorphisms tie whole rows
             assert max(kids) > 1
+
+
+class TestPartitionsOnTake:
+    """The search builds a kid's partition only when it takes the kid: the
+    first kid's with its node's expansion, a later kid's from ``_split``
+    when the walk resumes its branch point with it."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: make_T((3,) * 6), lambda: paley(23), lambda: make_moon_tower(2)],
+        ids=["T3x6", "paley23", "moon2"],
+    )
+    def test_one_partition_per_kid_taken(self, build, monkeypatch):
+        expand, split, tail = canon._expand, canon._split, canon._forced_tail
+        # ("made", partition) for each partition built, ("took", partition)
+        # for each node entered below a taken kid
+        events = []
+        tied = []  # the tied kids of each expansion
+
+        def counted_expand(out, cells):
+            events.append(("took", cells))
+            got = expand(out, cells)
+            tied.append(len(got[1]))
+            events.append(("made", got[2]))
+            return got
+
+        def counted_split(out, cells, v):
+            part = split(out, cells, v)
+            events.append(("split", part))
+            return part
+
+        def counted_tail(out, cells, *args):
+            events.append(("took", cells))
+            return tail(out, cells, *args)
+
+        monkeypatch.setattr(canon, "_expand", counted_expand)
+        monkeypatch.setattr(canon, "_split", counted_split)
+        monkeypatch.setattr(canon, "_forced_tail", counted_tail)
+        resumed = 0
+        for seed in range(3):
+            t = relabelled(build(), seed)
+            codes = set()
+            # cold, and seeded with the identity alone, which leaves the
+            # search to find the triangle rotations as equal leaves
+            for known in ((), [tuple(range(t.n))]):
+                events.clear()
+                tied.clear()
+                codes.add(_search(t.out_masks, known)[0])
+                assert events[0] == ("took", ((1 << t.n) - 1,))  # the root
+                splits = [i for i, (kind, _) in enumerate(events) if kind == "split"]
+                # each partition from _split is the next one the walk enters:
+                # the resume loop calls it once per kid it takes, and only then
+                for i in splits:
+                    assert events[i + 1][0] == "took", (seed, known, i)
+                    assert events[i + 1][1] is events[i][1], (seed, known, i)
+                # and every kid taken enters the partition built just before
+                # it, so a resumed kid's comes from _split, not from a store
+                for i, (kind, part) in enumerate(events[1:], 1):
+                    if kind == "took":
+                        assert events[i - 1][0] != "took", (seed, known, i)
+                        assert part is events[i - 1][1], (seed, known, i)
+                taken = sum(kind == "took" for kind, _ in events) - 1
+                built = len(tied) + len(splits)
+                assert built <= taken + len(tied), (seed, known, built, taken)
+                # building every tied kid's partition would cost more
+                assert built < sum(tied), (seed, known, built, sum(tied))
+                resumed += len(splits)
+            assert len(codes) == 1, seed
+        assert resumed  # the walk resumed some branch point
 
 
 class TestIsomorphism:
@@ -487,7 +571,15 @@ class TestSeededSearch:
                 ends["cut" if leaf is None else "better" if leaf else "equal"] += 1
             return leaf
 
-        monkeypatch.setattr(canon, "_expand", reference_expand)
+        def expanded(out, cells):
+            row, kids = reference_expand(out, cells)
+            return row, [v for v, _ in kids], kids[0][1]
+
+        def split(out, cells, v):
+            return dict(reference_expand(out, cells)[1])[v]
+
+        monkeypatch.setattr(canon, "_expand", expanded)
+        monkeypatch.setattr(canon, "_split", split)
         monkeypatch.setattr(canon, "_forced_tail", walked)
         want = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
         assert got == want
@@ -671,6 +763,17 @@ class TestTriangleRotations:
         got = [_search(t.out_masks)[:2] for t in inputs]
         monkeypatch.setattr(canon, "_triangle_rotations", lambda out: [])
         assert [_search(t.out_masks)[:2] for t in inputs] == got
+
+    def test_they_leave_no_automorphism_to_find(self):
+        # the rotations of the triangles off a prefix fix it pointwise and
+        # generate its stabiliser in Aut make_T((3,) * k), so every branch
+        # point's tied kids are one orbit under them: the search skips every
+        # kid after the first and finds no automorphism by an equal leaf
+        for k in range(1, 11):
+            t = relabelled(make_T((3,) * k), k)
+            code, order, _, autos = _search(t.out_masks)
+            assert order == 3**k
+            assert [g for g, _ in autos] == _triangle_rotations(t.out_masks), k
 
 
 class TestContainment:

@@ -414,6 +414,34 @@ def test_edge_list_input(tmp_path, capsys):
     assert out.strip() == canonical_form(make_T((3,))).bits
 
 
+def _edge_lines(t, sep):
+    return "".join(
+        f"{u}{sep}{v}\n" for u in range(t.n) for v in range(t.n) if u != v and t.beats(u, v)
+    )
+
+
+@pytest.mark.parametrize("sep", ["\t", " \t", "  "], ids=["tab", "space-tab", "two-spaces"])
+def test_edge_list_split_on_any_whitespace(tmp_path, capsys, sep):
+    t = make_T((1, 3, 1)).relabel([3, 0, 4, 1, 2])
+    spaced, other = tmp_path / "spaced.txt", tmp_path / "other.txt"
+    spaced.write_text(_edge_lines(t, " "))
+    other.write_text(_edge_lines(t, sep))
+    code, want, _ = _run(capsys, ["canon", str(spaced)])
+    assert code == 0
+    assert want.strip() == canonical_form(t).bits
+    code, out, err = _run(capsys, ["canon", str(other)])
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("header", ["5", "5\t", " 5 "], ids=["bare", "trailing-tab", "padded"])
+def test_trn_still_loads(tmp_path, capsys, header):
+    t = make_T((1, 3, 1)).relabel([3, 0, 4, 1, 2])
+    path = tmp_path / "t.trn"
+    path.write_text(t.to_trn().replace("5", header, 1))
+    code, out, err = _run(capsys, ["canon", str(path)])
+    assert (code, out.strip(), err) == (0, canonical_form(t).bits, "")
+
+
 def test_subcount_without_host_is_usage_error(capsys):
     code, out, err = _run(capsys, ["subcount", "--n", "5"])
     assert code == 2
