@@ -16,10 +16,11 @@ split.  Only the first cell's vertices that realise the minimal row are
 children of a node, so every leaf whose line is lex-min is in the tree.
 A row is one 0...01...1 segment per cell, of fixed width, so rows
 compare as the vectors of out-counts per cell: the children are found by
-narrowing the first cell one cell's count at a time.  Only the first
-child gets the row and a refined partition when its node is expanded; a
-later child's partition is split off the node's cells when the walk
-takes that child, so a skipped child costs none.  The search runs on
+narrowing the first cell one cell's count at a time.  One function,
+``_expand``, places a vertex: it builds the row and the refined
+partition of a node's first child when the node is expanded, and of a
+later child, handed to it as the resumed kid, when the walk takes that
+child, so a skipped child costs none.  The search runs on
 out-masks, which the deletion closure derives for each child from its
 parent's.
 
@@ -91,7 +92,7 @@ class CanonicalForm:
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:
-    return CanonicalForm(t.n, bits_to_line(t.n, _canon_code(t.n, t.bits)))
+    return CanonicalForm(t.n, bits_to_line(t.n, _search(t.out_masks)[0]))
 
 
 def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
@@ -101,8 +102,8 @@ def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
 def canonical_code(n: int, bits: int) -> int:
     """Canonical code of the tournament (n, bits), searched afresh.
 
-    For callers whose inputs rarely repeat, such as the extension BFS's
-    survivors, which would only fill the cache behind canonical_form.
+    For callers whose inputs rarely repeat (the extension BFS's survivors,
+    the concatenation witnesses); ``_canon_code`` caches it for the rest.
     """
     return _search(bits_to_out_masks(n, bits))[0]
 
@@ -155,51 +156,56 @@ def orbit_mask(start: int, gens: Sequence[Sequence[int]]) -> int:
 
 
 def _expand(
-    out: Sequence[int], cells: tuple[int, ...]
+    out: Sequence[int], cells: tuple[int, ...], kid: int | None = None
 ) -> tuple[int, list[int], tuple[int, ...]]:
     """Minimal next row over the first cell's vertices, the vertices
     attaining it in ascending order, and the first one's refined partition
-    of the vertices left (``_split`` gives the others' when they are taken).
+    of the vertices left: each cell, the first less the vertex, split into
+    its in-neighbours, then its out-neighbours.
 
     A vertex's row is one 0...01...1 segment per cell (the first less the
     vertex) of fixed width, so rows compare as the vectors of the vertex's
     out-counts per cell.  The first cell's vertices are narrowed one cell
     at a time to those of least count, stopping once one is left; the row
-    and the partition are built for the first survivor.
+    and the partition are built for the first survivor, or, with no
+    narrowing, for ``kid``, a tied vertex the walk resumes with.
     """
     first = cells[0]
     rest = cells[1:]
-    least = first.bit_count()
-    cand: list[int] = []
-    m = first
-    while m:
-        vbit = m & -m
-        m ^= vbit
-        v = vbit.bit_length() - 1
-        c = (first & out[v]).bit_count()
-        if c < least:
-            least = c
-            cand = [v]
-        elif c == least:
-            cand.append(v)
-    if len(cand) > 1:
-        for cell in rest:
-            least = cell.bit_count() + 1
-            keep: list[int] = []
-            for v in cand:
-                c = (cell & out[v]).bit_count()
-                if c < least:
-                    least = c
-                    keep = [v]
-                elif c == least:
-                    keep.append(v)
-            cand = keep
-            if len(cand) == 1:
-                break
-    v = cand[0]
-    ov = out[v]
+    if kid is None:
+        least = first.bit_count()
+        cand: list[int] = []
+        m = first
+        while m:
+            vbit = m & -m
+            m ^= vbit
+            v = vbit.bit_length() - 1
+            c = (first & out[v]).bit_count()
+            if c < least:
+                least = c
+                cand = [v]
+            elif c == least:
+                cand.append(v)
+        if len(cand) > 1:
+            for cell in rest:
+                least = cell.bit_count() + 1
+                keep: list[int] = []
+                for v in cand:
+                    c = (cell & out[v]).bit_count()
+                    if c < least:
+                        least = c
+                        keep = [v]
+                    elif c == least:
+                        keep.append(v)
+                cand = keep
+                if len(cand) == 1:
+                    break
+        kid = cand[0]
+    else:
+        cand = [kid]
+    ov = out[kid]
     op = first & ov
-    ip = first ^ (1 << v) ^ op
+    ip = first ^ (1 << kid) ^ op
     split = []
     if ip:
         split.append(ip)
@@ -217,44 +223,21 @@ def _expand(
     return row, cand, tuple(split)
 
 
-def _split(out: Sequence[int], cells: tuple[int, ...], v: int) -> tuple[int, ...]:
-    """The refined partition of the vertices left once v, a vertex of the
-    first cell, is placed: each cell, the first less v, split into v's
-    in-neighbours, then its out-neighbours."""
-    ov = out[v]
-    op = cells[0] & ov
-    ip = cells[0] ^ (1 << v) ^ op
-    split = []
-    if ip:
-        split.append(ip)
-    if op:
-        split.append(op)
-    for cell in cells[1:]:
-        op = cell & ov
-        ip = cell ^ op
-        if ip:
-            split.append(ip)
-        if op:
-            split.append(op)
-    return tuple(split)
-
-
 class _Branch:
     """A search node whose tied kids are explored one after another.
 
-    ``kids`` is the mask of its tied vertices, all with the row ``row``;
-    a kid's partition is split off the node's ``cells`` when it is taken.
-    ``gens`` are the known automorphisms that fix the node's prefix and
-    move some kid, and ``covered`` is the mask of the finished kids'
-    orbits under them: a kid in it is skipped.
+    ``kids`` is the mask of its tied vertices; a kid's row and partition
+    are built from the node's ``cells`` when it is taken.  ``gens`` are
+    the known automorphisms that fix the node's prefix and move some kid,
+    and ``covered`` is the mask of the finished kids' orbits under them: a
+    kid in it is skipped.
     """
 
-    __slots__ = ("depth", "cells", "row", "kids", "gens", "covered")
+    __slots__ = ("depth", "cells", "kids", "gens", "covered")
 
-    def __init__(self, depth: int, cells: tuple[int, ...], row: int, kids: int, gens: list):
+    def __init__(self, depth: int, cells: tuple[int, ...], kids: int, gens: list):
         self.depth = depth
         self.cells = cells
-        self.row = row
         self.kids = kids
         self.gens = gens
         self.covered = 0
@@ -411,7 +394,7 @@ def _search(
                 gens = [
                     g for g, fixed in autos if fixed & prefix == prefix and fixed & mask != mask
                 ]
-            stack.append(_Branch(d, node, row, mask, gens))
+            stack.append(_Branch(d, node, mask, gens))
         if kids:
             rows.append(row)
             path.append(kids[0])
@@ -463,7 +446,6 @@ def _search(
             if not stack:
                 return _code(n, best_rows), order, best_path, autos
         del path[b.depth :], rows[b.depth :]
-        v = (left & -left).bit_length() - 1
         node = b.cells
-        row, kids, cells = b.row, [v], _split(out, node, v)
+        row, kids, cells = _expand(out, node, (left & -left).bit_length() - 1)
         better = False

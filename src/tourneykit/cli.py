@@ -46,21 +46,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 RANDOM_MAX_N = 2048  # `gen` cap, every family: ~2M pair bits, a 2 MB .trn file
-# `gen` families: how many parameters each needs at least, and its vertex
+# `gen` families: the least and most parameters each takes, and its vertex
 # count from them, checked against the cap before anything is built
 FAMILIES = {
-    "T": (1, lambda p: sum(_csv_ints(p[0]))),
-    "M": (2, lambda p: 3 * int(p[1])),
-    "Mk": (2, lambda p: int(p[0]) * int(p[1])),
-    "cyclic": (1, lambda p: int(p[0])),
-    "TS": (1, lambda p: int(p[0])),
-    "Tstar": (1, lambda p: int(p[0])),
-    "type1": (1, lambda p: 2 * int(p[0]) + 1),
+    "T": (1, 1, lambda p: sum(_csv_ints(p[0]))),
+    "M": (2, 2, lambda p: 3 * int(p[1])),
+    "Mk": (2, 2, lambda p: int(p[0]) * int(p[1])),
+    "cyclic": (1, 1, lambda p: int(p[0])),
+    "TS": (1, 2, lambda p: int(p[0])),
+    "Tstar": (1, 3, lambda p: int(p[0])),
+    "type1": (1, 2, lambda p: 2 * int(p[0]) + 1),
     # make_moon_tower refuses a level past its own bound, which is under the cap
-    "moon": (1, lambda p: MAX_TOWER_VERTICES),
+    "moon": (1, 1, lambda p: MAX_TOWER_VERTICES),
     # the cyclic quotient on one vertex per block is built too
-    "blowup": (1, lambda p: max(sum(s := _csv_ints(p[0])), len(s))),
-    "random": (1, lambda p: int(p[0])),
+    "blowup": (1, 1, lambda p: max(sum(s := _csv_ints(p[0])), len(s))),
+    "random": (1, 1, lambda p: int(p[0])),
 }
 
 
@@ -91,9 +91,13 @@ def _gen(args) -> int:
     if fam not in FAMILIES:
         print(f"unknown family {fam!r}", file=sys.stderr)
         return EXIT_USAGE
-    arity, size = FAMILIES[fam]
-    if len(params) < arity:
+    least, most, size = FAMILIES[fam]
+    if len(params) < least:
         raise ValueError("missing family parameters")
+    if len(params) > most:
+        raise ValueError(
+            f"too many family parameters: gen {fam} takes at most {most}, got {len(params)}"
+        )
     n = size(params)
     if n > RANDOM_MAX_N:
         raise InfeasibleSizeError(f"gen {fam} is capped at {RANDOM_MAX_N} vertices, got {n}")

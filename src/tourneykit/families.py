@@ -55,6 +55,8 @@ class FlagTriple:
     def coerce(cls, value: "FlagTriple | Sequence[int]") -> "FlagTriple":
         if isinstance(value, FlagTriple):
             return value
+        if len(value) != 3:
+            raise ValueError(f"need the three flags I1, I2 and I3, got {len(value)}")
         a, b, c = value
         return cls(int(a), int(b), int(c))
 

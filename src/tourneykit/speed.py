@@ -33,7 +33,7 @@ canonical codes, and so does a SpeedTable: only its forms are lines.
   w as the new vertex, and that extension passes, since an isomorphism
   keeps any vertex invariant.  The dedup set absorbs the classes reached
   more than once.  The survivors rarely repeat, so each gets a fresh
-  search rather than a slot in canonical_form's cache.
+  search rather than a slot in the shared code cache.
 
 Counting the n-vertex sub-tournament classes of one big host
 (distinct_sub_classes) grows n-subsets one vertex at a time, keeping
@@ -75,6 +75,7 @@ SEED_BOUND = 36
 DEFAULT_MEM_BUDGET = 2 * 1024**3
 PAIR_BUDGET = 200_000_000
 _FORM_OVERHEAD = 64  # rough per-entry bookkeeping bytes for budget checks
+_GEN_OVERHEAD = 48  # a kept automorphism's tuple header and list slot
 
 
 class BudgetExceededError(InfeasibleSizeError):
@@ -139,16 +140,18 @@ class SpeedTable:
 
 
 class _Budget:
-    """Running byte estimate of the classes a closure keeps (a line byte a
-    pair, plus bookkeeping), checked each time a class is added."""
+    """Running byte estimate of what a closure keeps, checked each time a
+    class is added: a byte a pair for its code (an int takes 4 bytes per 30
+    pairs) plus bookkeeping, and for each automorphism kept beside it, its
+    tuple (8 bytes an image) with header and list slot."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
         self.what = what
         self.used = 0
 
-    def charge(self, level: int, kept: int) -> None:
-        self.used += pair_count(level) + _FORM_OVERHEAD
+    def charge(self, level: int, kept: int, gens: int = 0) -> None:
+        self.used += pair_count(level) + _FORM_OVERHEAD + gens * (_GEN_OVERHEAD + 8 * level)
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"{self.what} exceeded the {self.limit}-byte budget while "
@@ -176,12 +179,11 @@ def hereditary_closure(
     levels: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     budget = _Budget(mem_budget, "closure")
     for s in seeds:
-        # decoded afresh: no out-masks cached on seeds that outlive the closure
-        code, gens = canonical_code_and_automorphisms(bits_to_out_masks(s.n, s.bits))
+        code, gens = canonical_code_and_automorphisms(s.out_masks)
         bucket = levels.setdefault(s.n, {})
         if code not in bucket:
             bucket[code] = gens
-            budget.charge(s.n, len(bucket))
+            budget.charge(s.n, len(bucket), len(gens))
 
     top = max(levels)
     for size in range(top, 1, -1):
@@ -209,7 +211,7 @@ def hereditary_closure(
                 cc, cgens = canonical_code_and_automorphisms(_delete_out(out, v), known)
                 if cc not in child:
                     child[cc] = cgens
-                    budget.charge(size - 1, len(child))
+                    budget.charge(size - 1, len(child), len(cgens))
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
@@ -570,7 +572,7 @@ def check_supermultiplicative(
             seen: set[int] = set()  # each (m, n) pair of members is met once
             for g1 in members[m]:
                 for g2 in members[n]:
-                    w = _canon_code(m + n, concat(g1, g2).bits)
+                    w = canonical_code(m + n, concat(g1, g2).bits)
                     if w not in target:
                         witness_failures.append(
                             f"concat of ({m},{n}) pair lands outside level {m + n}"

@@ -42,7 +42,7 @@ class StructureWitness:
 
     def validate(self, host: Tournament, pattern: Tournament | None = None) -> bool:
         a = self.assignment
-        if len(set(a)) != len(a):
+        if len(set(a)) != len(a) or not all(0 <= v < host.n for v in a):
             return False
         if self.kind == "transitive":
             return _is_chain(host, a)

@@ -188,6 +188,13 @@ class Tournament:
         return cls(n, bits)
 
     @classmethod
+    def _from_out_masks(cls, out: Sequence[int]) -> "Tournament":
+        """The tournament whose full out-masks are ``out``, kept on it."""
+        t = cls(len(out), _pack(out))
+        t._out = tuple(out)
+        return t
+
+    @classmethod
     def from_trn(cls, text: str) -> "Tournament":
         lines = text.splitlines()
         if not lines:
@@ -272,7 +279,7 @@ class Tournament:
                 o ^= low
                 image |= 1 << perm[low.bit_length() - 1]
             out[perm[i]] = image
-        return Tournament(n, _pack(out))
+        return Tournament._from_out_masks(out)
 
     def reverse(self) -> "Tournament":
         """Flip every edge."""
@@ -354,7 +361,7 @@ def substitute(quotient: Tournament, parts: Sequence[Tournament]) -> Tournament:
             across |= (1 << start[b]) - (1 << start[a])
             qa &= top
         rows += [(o << s) | across for o in p.out_masks]
-    return Tournament(start[-1], _pack(rows))
+    return Tournament._from_out_masks(rows)
 
 
 def random_tournament(n: int, rng: random.Random | int | None = None) -> Tournament:

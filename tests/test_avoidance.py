@@ -189,7 +189,7 @@ class TestLeastInvariantFilter:
         assert got == lex_least_invariant(base)
 
     def test_survivors_bypass_the_shared_cache(self):
-        # only the one-vertex start goes through canonical_form's cache
+        # only the one-vertex start goes through the shared code cache
         before = _canon_code.cache_info()
         all_classes(6)
         after = _canon_code.cache_info()

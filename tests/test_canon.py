@@ -45,7 +45,6 @@ from tourneykit import canon
 from tourneykit.canon import (
     _expand,
     _search,
-    _split,
     _triangle_rotations,
     canonical_code_and_automorphisms,
 )
@@ -269,11 +268,12 @@ class TestAgainstBeamSearch:
             assert canonical_form(relabelled(t, seed)).bits == want
 
 
-def checked_expand(out, cells):
+def checked_expand(out, cells, kid=None):
     """``_expand`` on a node, asserted equal to the full-row reference: the
-    same minimal row, the same tied kids in the same order, and for every
-    kid the partition ``_split`` gives (the first kid's also from
-    ``_expand`` itself)."""
+    same minimal row, the same tied kids in the same order, the first
+    kid's partition, and for every kid v, ``_expand(out, cells, v)`` gives
+    the same row, [v] and v's partition.  Returns the node's expansion,
+    or with ``kid`` (a tied kid) that kid's."""
     got = _expand(out, cells)
     row, kids, first = got
     want_row, want_kids = reference_expand(out, cells)
@@ -281,8 +281,11 @@ def checked_expand(out, cells):
     assert kids == [v for v, _ in want_kids], (out, cells)
     assert first == want_kids[0][1], (out, cells)
     for v, part in want_kids:
-        assert _split(out, cells, v) == part, (out, cells, v)
-    return got
+        assert _expand(out, cells, v) == (want_row, [v], part), (out, cells, v)
+    if kid is None:
+        return got
+    assert kid in kids, (out, cells, kid)
+    return _expand(out, cells, kid)
 
 
 class TestExpand:
@@ -322,9 +325,10 @@ class TestExpand:
     def test_every_node_of_a_search(self, build, symmetric, monkeypatch):
         kids = []
 
-        def checked(out, cells):
-            got = checked_expand(out, cells)
-            kids.append(len(got[1]))
+        def checked(out, cells, kid=None):
+            got = checked_expand(out, cells, kid)
+            if kid is None:
+                kids.append(len(got[1]))
             return got
 
         monkeypatch.setattr(canon, "_expand", checked)
@@ -338,8 +342,8 @@ class TestExpand:
 
 class TestPartitionsOnTake:
     """The search builds a kid's partition only when it takes the kid: the
-    first kid's with its node's expansion, a later kid's from ``_split``
-    when the walk resumes its branch point with it."""
+    first kid's with its node's expansion, a later kid's from ``_expand``
+    handed that kid when the walk resumes its branch point with it."""
 
     @pytest.mark.parametrize(
         "build",
@@ -347,30 +351,29 @@ class TestPartitionsOnTake:
         ids=["T3x6", "paley23", "moon2"],
     )
     def test_one_partition_per_kid_taken(self, build, monkeypatch):
-        expand, split, tail = canon._expand, canon._split, canon._forced_tail
-        # ("made", partition) for each partition built, ("took", partition)
-        # for each node entered below a taken kid
+        expand, tail = canon._expand, canon._forced_tail
+        # ("made", partition) for each node's expansion and ("resumed",
+        # partition) for each kid handed to _expand, with the partition it
+        # built; ("took", partition) for each node entered below a taken kid
         events = []
         tied = []  # the tied kids of each expansion
 
-        def counted_expand(out, cells):
+        def counted_expand(out, cells, kid=None):
+            if kid is not None:
+                got = expand(out, cells, kid)
+                events.append(("resumed", got[2]))
+                return got
             events.append(("took", cells))
             got = expand(out, cells)
             tied.append(len(got[1]))
             events.append(("made", got[2]))
             return got
 
-        def counted_split(out, cells, v):
-            part = split(out, cells, v)
-            events.append(("split", part))
-            return part
-
         def counted_tail(out, cells, *args):
             events.append(("took", cells))
             return tail(out, cells, *args)
 
         monkeypatch.setattr(canon, "_expand", counted_expand)
-        monkeypatch.setattr(canon, "_split", counted_split)
         monkeypatch.setattr(canon, "_forced_tail", counted_tail)
         resumed = 0
         for seed in range(3):
@@ -383,24 +386,25 @@ class TestPartitionsOnTake:
                 tied.clear()
                 codes.add(_search(t.out_masks, known)[0])
                 assert events[0] == ("took", ((1 << t.n) - 1,))  # the root
-                splits = [i for i, (kind, _) in enumerate(events) if kind == "split"]
-                # each partition from _split is the next one the walk enters:
-                # the resume loop calls it once per kid it takes, and only then
-                for i in splits:
+                resumes = [i for i, (kind, _) in enumerate(events) if kind == "resumed"]
+                # each partition built for a resumed kid is the next one the
+                # walk enters: the resume loop hands _expand one kid per kid
+                # it takes, and only then
+                for i in resumes:
                     assert events[i + 1][0] == "took", (seed, known, i)
                     assert events[i + 1][1] is events[i][1], (seed, known, i)
                 # and every kid taken enters the partition built just before
-                # it, so a resumed kid's comes from _split, not from a store
+                # it, so a resumed kid's comes from _expand, not from a store
                 for i, (kind, part) in enumerate(events[1:], 1):
                     if kind == "took":
                         assert events[i - 1][0] != "took", (seed, known, i)
                         assert part is events[i - 1][1], (seed, known, i)
                 taken = sum(kind == "took" for kind, _ in events) - 1
-                built = len(tied) + len(splits)
+                built = len(tied) + len(resumes)
                 assert built <= taken + len(tied), (seed, known, built, taken)
                 # building every tied kid's partition would cost more
                 assert built < sum(tied), (seed, known, built, sum(tied))
-                resumed += len(splits)
+                resumed += len(resumes)
             assert len(codes) == 1, seed
         assert resumed  # the walk resumed some branch point
 
@@ -571,15 +575,13 @@ class TestSeededSearch:
                 ends["cut" if leaf is None else "better" if leaf else "equal"] += 1
             return leaf
 
-        def expanded(out, cells):
+        def expanded(out, cells, kid=None):
             row, kids = reference_expand(out, cells)
-            return row, [v for v, _ in kids], kids[0][1]
-
-        def split(out, cells, v):
-            return dict(reference_expand(out, cells)[1])[v]
+            if kid is None:
+                return row, [v for v, _ in kids], kids[0][1]
+            return row, [kid], dict(kids)[kid]
 
         monkeypatch.setattr(canon, "_expand", expanded)
-        monkeypatch.setattr(canon, "_split", split)
         monkeypatch.setattr(canon, "_forced_tail", walked)
         want = [(_search(t.out_masks), _search(t.out_masks, known)) for t, known in cases]
         assert got == want
@@ -740,7 +742,7 @@ class TestTriangleRotations:
 
     def test_one_splitting_vertex_yields_no_map(self):
         # make_T((3, 3)) with 3 -> 0 reversed: 3 beats 0 of the first
-        # triangle and loses to 1 and 2, and 0 splits the second the same way
+        # triangle and loses to 1 and 2, and 0 resumes the second the same way
         t = flipped(make_T((3, 3)), 0, 3)
         assert _triangle_rotations(t.out_masks) == []
         assert brute_module_triangles(t) == set()

@@ -358,6 +358,45 @@ def test_gen_missing_parameters_is_usage_error(capsys, argv):
     assert "missing family parameters" in err
 
 
+@pytest.mark.parametrize(
+    "params, most",
+    [
+        (["T", "1,3", "7"], 1),
+        (["M", "1,0,1", "3", "7"], 2),
+        (["Mk", "4", "2", "7"], 2),
+        (["cyclic", "3", "99"], 1),
+        (["TS", "5", "1,3", "7"], 2),
+        (["Tstar", "9", "2,3,7,8", "2,1", "7"], 3),
+        (["type1", "3", "1", "7"], 2),
+        (["moon", "2", "7"], 1),
+        (["blowup", "3,3,1", "7"], 1),
+        (["random", "3", "1"], 1),
+    ],
+    ids=["T", "M", "Mk", "cyclic", "TS", "Tstar", "type1", "moon", "blowup", "random"],
+)
+def test_gen_extra_parameter_is_usage_error(tmp_path, capsys, params, most):
+    path = tmp_path / "t.trn"
+    code, out, err = _run(capsys, ["gen", *params, "-o", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"gen {params[0]} takes at most {most}, got {most + 1}" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["subcount", "--flags", "1,1", "--n", "3", "--m", "2"], ["gen", "M", "1,1", "2"]],
+    ids=["subcount", "gen-M"],
+)
+def test_flag_triple_of_the_wrong_length_is_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "need the three flags I1, I2 and I3, got 2" in err
+    assert "unpack" not in err
+
+
 def test_internal_index_error_is_not_a_usage_error(monkeypatch, capsys):
     def broken(lemma_id, **params):
         raise IndexError("list index out of range")

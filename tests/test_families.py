@@ -175,6 +175,11 @@ class TestFlagFamily:
         with pytest.raises(ValueError):
             make_M((1, 1, 1), 0)
 
+    @pytest.mark.parametrize("flags", [(), (1,), (1, 1), (1, 0, 1, 0)])
+    def test_rejects_a_flag_triple_of_the_wrong_length(self, flags):
+        with pytest.raises(ValueError, match="I1, I2 and I3"):
+            make_M(flags, 2)
+
 
 class TestGeneralizedFlagFamily:
     def test_k3_matches_flag_family(self):

@@ -125,6 +125,15 @@ class TestHereditaryClosure:
         # the fourth takes the total to 468
         assert (level, kept) == (8, 4)
 
+    def test_memory_budget_charges_kept_automorphisms(self):
+        # the classes alone are charged 481,056 bytes over the whole
+        # closure; each also keeps generators of its group, 48 + 8n bytes
+        # apiece (the seed its eight triangle rotations: 8 * 240 bytes on
+        # top of 276 + 64), which take the total past 1,000,000 at level 18
+        with pytest.raises(BudgetExceededError) as exc:
+            hereditary_closure([make_T((3,) * 8)], 24, mem_budget=1_000_000)
+        assert _budget_stop(exc.value) == (18, 109)
+
     def test_self_check_survives_optimize(self):
         code = (
             "from tourneykit import make_cyclic\n"

@@ -10,6 +10,7 @@ import pytest
 from oracles import all_labelled, brute_first_type2, brute_type1, brute_type2
 from tourneykit import (
     InfeasibleSizeError,
+    StructureWitness,
     Tournament,
     detect_type1,
     detect_type2,
@@ -113,6 +114,24 @@ class TestDetectType2:
             t = random_tournament(8, rng)
             if detect_type2(t, 2) is not None:
                 assert detect_type2(t, 1) is not None
+
+
+class TestWitnessValidate:
+    @pytest.mark.parametrize(
+        "kind, assignment",
+        [
+            ("transitive", (0, 5)),
+            ("transitive", (-1, 0)),
+            ("type1-flavorA", (0, 1, 5)),
+            ("type1-flavorB", (0, 1, 5)),
+            ("type2", (0, 1, 5)),
+            ("embedding", (0, 5)),
+        ],
+    )
+    def test_vertex_out_of_range_is_invalid(self, kind, assignment):
+        host = Tournament(3, 0b111)  # transitive: 0 -> 1 -> 2, 0 -> 2
+        pattern = transitive(len(assignment))
+        assert StructureWitness(kind, assignment).validate(host, pattern) is False
 
 
 class TestEmbed:

@@ -34,6 +34,7 @@ from tourneykit.tournament import (
     _delete_out,
     _strong_components,
     bits_to_line,
+    bits_to_out_masks,
     line_to_bits,
 )
 
@@ -194,6 +195,23 @@ class TestRelabel:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             make_cyclic(3).relabel([0, 0, 1])
+
+
+class TestKeptOutMasks:
+    """``relabel`` and ``substitute`` keep the full out-masks they build on
+    their result, so searches need not decode its pair bits again."""
+
+    def test_they_equal_the_decoded_masks(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            n = rng.randrange(0, 20)
+            t = random_tournament(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            k = rng.randrange(0, 6)
+            parts = [random_tournament(rng.randrange(0, 5), rng) for _ in range(k)]
+            for got in (t.relabel(perm), substitute(random_tournament(k, rng), parts)):
+                assert got._out == bits_to_out_masks(got.n, got.bits), got
 
 
 class TestDegreesAndPredicates:
