@@ -96,7 +96,7 @@ def canonical_form(t: Tournament) -> CanonicalForm:
 
 
 def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
-    return canonical_form(t1) == canonical_form(t2)
+    return t1.n == t2.n and _search(t1.out_masks)[0] == _search(t2.out_masks)[0]
 
 
 def canonical_code(n: int, bits: int) -> int:

@@ -9,6 +9,7 @@ on that order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,10 +34,6 @@ class CompositionSeq:
     def __post_init__(self) -> None:
         if any(a not in (1, 3) for a in self.terms):
             raise ValueError("composition entries must be 1 or 3")
-
-    @property
-    def total(self) -> int:
-        return sum(self.terms)
 
 
 @dataclass(frozen=True)
@@ -208,41 +205,26 @@ def make_Tstar(spec: ReversalSpec) -> Tournament:
 def reconstruct_S(t: Tournament, shape: tuple[int, int]) -> frozenset[int]:
     """Recover the reversed-endpoint set of a separated make_Tstar image.
 
-    Vertices are ordered by descending out-degree; a tied pair is ordered
-    by the edge between them; the single permitted triple tie (adjacent
-    reversal endpoints) is ordered by original index, which the recovery
-    is invariant to.  Positions where the sorted degree differs from the
-    transitive profile n - i make up S.
+    A separated image has at most 3 vertices of each out-degree and at
+    most one such triple.  S is the set of positions i (1-based) at which
+    the out-degrees, sorted in descending order, differ from the
+    transitive profile n - i: the vertices sharing a degree can be put in
+    any order without changing the degree read at a position.
     """
     n, tt = shape
     if t.n != n:
         raise ValueError(f"tournament has {t.n} vertices, shape says {n}")
-    degs = t.out_degrees()
-    groups: dict[int, list[int]] = {}
-    for v in range(t.n):
-        groups.setdefault(degs[v], []).append(v)
-    order: list[int] = []
-    triples = 0
-    for d in sorted(groups, reverse=True):
-        g = sorted(groups[d])
-        if len(g) == 1:
-            order.extend(g)
-        elif len(g) == 2:
-            u, v = g
-            order.extend([u, v] if t.beats(u, v) else [v, u])
-        elif len(g) == 3:
-            triples += 1
-            order.extend(g)
-        else:
+    degs = sorted(t.out_degrees(), reverse=True)
+    ties = Counter(degs)  # in descending order of degree
+    for d, k in ties.items():
+        if k > 3:
             raise FamilyMembershipError(
-                f"{len(g)} vertices share out-degree {d}; not a separated "
+                f"{k} vertices share out-degree {d}; not a separated "
                 "reversal tournament"
             )
-    if triples > 1:
+    if list(ties.values()).count(3) > 1:
         raise FamilyMembershipError("more than one triple degree tie")
-    s = frozenset(
-        i + 1 for i, v in enumerate(order) if degs[v] != n - (i + 1)
-    )
+    s = frozenset(i for i, d in enumerate(degs, 1) if d != n - i)
     if len(s) != 2 * tt:
         raise FamilyMembershipError(
             f"recovered {len(s)} reversal endpoints, expected {2 * tt}"

@@ -55,10 +55,9 @@ from .canon import (
     _canon_code,
     canonical_code,
     canonical_code_and_automorphisms,
-    canonical_form,
     orbit_mask,
 )
-from .families import FlagTriple, make_M, make_cyclic, make_type1
+from .families import FlagTriple, make_M, make_TS, make_cyclic
 from .tournament import (
     InfeasibleSizeError,
     Tournament,
@@ -143,7 +142,8 @@ class _Budget:
     """Running byte estimate of what a closure keeps, checked each time a
     class is added: a byte a pair for its code (an int takes 4 bytes per 30
     pairs) plus bookkeeping, and for each automorphism kept beside it, its
-    tuple (8 bytes an image) with header and list slot."""
+    tuple (8 bytes an image) with header and list slot.  A code held only
+    while a level is built is charged the same and released after it."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
@@ -158,6 +158,9 @@ class _Budget:
                 f"building level {level} ({kept} classes kept so far); "
                 f"partial results discarded"
             )
+
+    def release(self, level: int, codes: int) -> None:
+        self.used -= codes * (pair_count(level) + _FORM_OVERHEAD)
 
 
 def hereditary_closure(
@@ -202,6 +205,7 @@ def hereditary_closure(
                 if sub in built:
                     continue
                 built.add(sub)
+                budget.charge(size - 1, len(child))
                 # an automorphism fixing v restricts to one of t - v
                 known = [
                     tuple([y - (y > v) for y in g[:v] + g[v + 1 :]])
@@ -212,6 +216,7 @@ def hereditary_closure(
                 if cc not in child:
                     child[cc] = cgens
                     budget.charge(size - 1, len(child), len(cgens))
+        budget.release(size - 1, len(built))
 
     table = SpeedTable(
         seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
@@ -324,10 +329,13 @@ def avoidance_closure(
     induced sub-tournament, recording levels <= n_max (see the module
     docstring)."""
     forb: dict[int, frozenset[int]] = {}
+    patterns: list[tuple[int, int]] = []  # (size, canonical code) of each, duplicates kept
     for h in forbidden:
         if h.n < 1:
             raise ValueError("forbidden patterns must have at least one vertex")
-        forb[h.n] = forb.get(h.n, frozenset()) | {_canon_code(h.n, h.bits)}
+        code = _canon_code(h.n, h.bits)
+        patterns.append((h.n, code))
+        forb[h.n] = forb.get(h.n, frozenset()) | {code}
 
     budget = _Budget(mem_budget, "avoidance closure")
     levels: dict[int, frozenset[int]] = {1: frozenset()}
@@ -361,7 +369,7 @@ def avoidance_closure(
         levels[k + 1] = frozenset(nxt)
 
     desc = seed_description or (
-        "avoid " + ",".join(sorted(f"{h.n}:{canonical_form(h).bits}" for h in forbidden))
+        "avoid " + ",".join(sorted(f"{k}:{bits_to_line(k, c)}" for k, c in patterns))
     )
     return SpeedTable(seed=desc, codes={n: c for n, c in levels.items() if n <= n_max})
 
@@ -486,19 +494,17 @@ def _cyclic_lower(n: int) -> int:
 def type1_tn_classes(n: int) -> int:
     """Distinct classes among the chain-plus-y sub-tournaments carved out
     of an n-structure of flavor A (one x per chain pair, odd pick for
-    positions in S)."""
+    positions in S).
+
+    y beats the odd picks and loses to the even ones, and the picks keep
+    chain order, so the sub-tournament for S is make_TS(n, S) itself.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    t = make_type1(n, 1)
-    y = 2 * n
-    codes = set()
-    for bits in range(1 << (n - 1)):
-        subset = [y]
-        for i1 in range(1, n):
-            picked = 2 * i1 - 2 if (bits >> (i1 - 1)) & 1 else 2 * i1 - 1
-            subset.append(picked)
-        codes.add(_canon_code(n, t.induced(subset).bits))
-    return len(codes)
+    return len({
+        _canon_code(n, make_TS(n, [i for i in range(1, n) if bits >> (i - 1) & 1]).bits)
+        for bits in range(1 << (n - 1))
+    })
 
 
 @dataclass(frozen=True)

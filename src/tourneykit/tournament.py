@@ -229,9 +229,6 @@ class Tournament:
         self._check_vertex(v)
         return self.out_masks[v].bit_count()
 
-    def in_degree(self, v: int) -> int:
-        return self.n - 1 - self.out_degree(v)
-
     def out_degrees(self) -> list[int]:
         return [m.bit_count() for m in self.out_masks]
 
@@ -283,8 +280,7 @@ class Tournament:
 
     def reverse(self) -> "Tournament":
         """Flip every edge."""
-        m = pair_count(self.n)
-        return Tournament(self.n, self.bits ^ ((1 << m) - 1) if m else 0)
+        return Tournament(self.n, self.bits ^ ((1 << pair_count(self.n)) - 1))
 
     # -- structural predicates ----------------------------------------------
 

@@ -33,6 +33,11 @@ and ``reference_line_to_bits`` convert between packed pair bits and the
 groups the vertices by mutual reachability, the reference for the
 score-sequence kernel, and ``reference_substitute`` ORs in one block span
 per quotient arc, the reference for the substitution by runs.
+``reference_reconstruct_S`` orders the vertices group by group (a tied
+pair by its edge, a triple by index) before reading S off the degrees,
+and ``carved_type1_subs`` carves the chain-plus-y sub-tournaments out of a
+type-1 structure with ``induced``: the references for ``reconstruct_S``
+and ``type1_tn_classes``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,15 @@ from math import factorial, gcd
 
 import numpy as np
 
-from tourneykit import Tournament, canonical_form, make_T, pair_count, pair_index
+from tourneykit import (
+    FamilyMembershipError,
+    Tournament,
+    canonical_form,
+    make_T,
+    make_type1,
+    pair_count,
+    pair_index,
+)
 from tourneykit.speed import SpeedTable, _rejected_masks, hereditary_closure
 from tourneykit.tournament import _pack, line_to_bits
 from tourneykit.verify import composition_seqs
@@ -597,3 +610,58 @@ def brute_labelled_count(n: int, patterns: list[Tournament]) -> int:
                 induced |= bit << pair_index(h.n, a, b)
             member &= ~bad[induced]
     return int(member.sum())
+
+
+def reference_reconstruct_S(t: Tournament, shape: tuple[int, int]) -> frozenset[int]:
+    """reconstruct_S with the vertex order spelled out: groups of one
+    out-degree in descending order, a tied pair ordered by the edge between
+    them, the single permitted triple by index; S is the positions whose
+    vertex's degree differs from the transitive profile n - i."""
+    n, tt = shape
+    if t.n != n:
+        raise ValueError(f"tournament has {t.n} vertices, shape says {n}")
+    degs = t.out_degrees()
+    groups: dict[int, list[int]] = {}
+    for v in range(t.n):
+        groups.setdefault(degs[v], []).append(v)
+    order: list[int] = []
+    triples = 0
+    for d in sorted(groups, reverse=True):
+        g = sorted(groups[d])
+        if len(g) == 1:
+            order.extend(g)
+        elif len(g) == 2:
+            u, v = g
+            order.extend([u, v] if t.beats(u, v) else [v, u])
+        elif len(g) == 3:
+            triples += 1
+            order.extend(g)
+        else:
+            raise FamilyMembershipError(
+                f"{len(g)} vertices share out-degree {d}; not a separated "
+                "reversal tournament"
+            )
+    if triples > 1:
+        raise FamilyMembershipError("more than one triple degree tie")
+    s = frozenset(i + 1 for i, v in enumerate(order) if degs[v] != n - (i + 1))
+    if len(s) != 2 * tt:
+        raise FamilyMembershipError(
+            f"recovered {len(s)} reversal endpoints, expected {2 * tt}"
+        )
+    return s
+
+
+def carved_type1_subs(n: int) -> list[Tournament]:
+    """The chain-plus-y sub-tournaments of make_type1(n, 1), one x per
+    chain pair: for i = 1..n-1, pair i's odd pick x_{2i-1} when bit i - 1
+    of the index is set, its even pick x_{2i} otherwise, then y."""
+    t = make_type1(n, 1)
+    y = 2 * n
+    subs = []
+    for bits in range(1 << (n - 1)):
+        subset = [y]
+        for i1 in range(1, n):
+            picked = 2 * i1 - 2 if (bits >> (i1 - 1)) & 1 else 2 * i1 - 1
+            subset.append(picked)
+        subs.append(t.induced(subset))
+    return subs

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import all_labelled
+from oracles import all_labelled, reference_reconstruct_S
 from tourneykit import (
     FamilyMembershipError,
     InfeasibleSizeError,
@@ -26,6 +26,8 @@ from tourneykit import (
     make_cyclic_blowup,
     make_moon_tower,
     make_type1,
+    pair_index,
+    random_tournament,
     reconstruct_S,
     reconstruct_seq,
 )
@@ -319,6 +321,40 @@ class TestReversalFamily:
         # four vertices share a degree in the cyclic tournament on 4
         with pytest.raises(FamilyMembershipError):
             reconstruct_S(make_cyclic(5), (5, 1))
+
+    def test_reconstruction_matches_the_reference(self):
+        # every separated reversal image to n = 10, two seeded relabellings
+        # and one seeded edge flip of each, and random tournaments to
+        # n = 11: the same S, or the same error and message
+        def outcome(f, t, shape):
+            try:
+                return f(t, shape)
+            except ValueError as exc:
+                return type(exc).__name__, str(exc)
+
+        rng = random.Random(25)
+        cases = []
+        for spec in _reversal_specs(10):
+            a, tt = spec.reversed_set, spec.t
+            if tt and a[tt] <= a[tt - 1] + 1:
+                continue  # not separated
+            n, t = spec.n, make_Tstar(spec)
+            cases += [t] + [t.relabel(rng.sample(range(n), n)) for _ in range(2)]
+            if n > 1:
+                u, v = sorted(rng.sample(range(n), 2))
+                cases.append(Tournament(n, t.bits ^ 1 << pair_index(n, u, v)))
+        cases += [random_tournament(n, rng.getrandbits(32)) for n in range(1, 12) for _ in range(100)]
+        seen = set()
+        for t in cases:
+            for tt in range(t.n // 2 + 1):
+                got = outcome(reconstruct_S, t, (t.n, tt))
+                assert got == outcome(reference_reconstruct_S, t, (t.n, tt)), (t, tt)
+                if isinstance(got, frozenset):
+                    seen.add("S")
+                else:
+                    seen.add("share" if "share" in got[1] else got[1].split()[0])
+        # a result and each of the three messages are met
+        assert seen == {"S", "share", "more", "recovered"}
 
 
 class TestAlternating:

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_seeds_t_family_table, brute_sub_classes, unpruned_hereditary_closure
+from oracles import (
+    all_seeds_t_family_table,
+    brute_sub_classes,
+    carved_type1_subs,
+    unpruned_hereditary_closure,
+)
+from tourneykit import canon
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
@@ -33,6 +39,7 @@ from tourneykit import (
     hereditary_closure,
     make_M,
     make_T,
+    make_TS,
     make_cyclic,
     make_cyclic_blowup,
     make_moon_tower,
@@ -110,9 +117,10 @@ class TestHereditaryClosure:
     def test_memory_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
             hereditary_closure([make_cyclic(12)], 6, mem_budget=512)
-        # 66 + 64 bytes for the seed, then 55 + 64 a class of level 11:
-        # the fourth takes the total to 606
-        assert _budget_stop(exc.value) == (11, 4)
+        # 66 + 64 bytes for the seed, then 55 + 64 for each labelled child
+        # held while level 11 is built and as much for each class of it
+        # kept: the second child's class takes the total to 606
+        assert _budget_stop(exc.value) == (11, 2)
 
     def test_memory_budget_stops_part_way_through_a_level(self):
         seed = random_tournament(9, 5)
@@ -121,18 +129,33 @@ class TestHereditaryClosure:
             hereditary_closure([seed], 9, mem_budget=400)
         level, kept = _budget_stop(exc.value)
         assert 0 < kept < full.count(level)
-        # 36 + 64 bytes for the seed, then 28 + 64 a class of level 8:
-        # the fourth takes the total to 468
-        assert (level, kept) == (8, 4)
+        # 36 + 64 bytes for the seed, then 28 + 64 for each labelled child
+        # held while level 8 is built and as much for each class of it
+        # kept: the second child's class takes the total to 468
+        assert (level, kept) == (8, 2)
 
     def test_memory_budget_charges_kept_automorphisms(self):
         # the classes alone are charged 481,056 bytes over the whole
         # closure; each also keeps generators of its group, 48 + 8n bytes
         # apiece (the seed its eight triangle rotations: 8 * 240 bytes on
-        # top of 276 + 64), which take the total past 1,000,000 at level 18
+        # top of 276 + 64).  Each labelled child held while a level is
+        # built is charged as a class, 171 + 64 bytes on level 19, until
+        # the level ends: 806,799 bytes of classes and generators down to
+        # level 19 and 823 held children take the total to 1,000,204
         with pytest.raises(BudgetExceededError) as exc:
             hereditary_closure([make_T((3,) * 8)], 24, mem_budget=1_000_000)
-        assert _budget_stop(exc.value) == (18, 109)
+        assert _budget_stop(exc.value) == (19, 273)
+
+    def test_memory_budget_releases_held_children(self):
+        # classes and generators take 2,058,144 bytes over the whole
+        # closure, and each level's held children are released when it
+        # ends, so the charge peaks at 2,058,216 on level 3; kept to the
+        # end, the 1,902,582 bytes of held children would stop the run
+        table = hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_216)
+        assert table.count(24) == 1
+        with pytest.raises(BudgetExceededError) as exc:
+            hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_215)
+        assert _budget_stop(exc.value) == (3, 2)
 
     def test_self_check_survives_optimize(self):
         code = (
@@ -238,6 +261,29 @@ class TestAvoidanceClosure:
         table = avoidance_closure([make_cyclic(4)], 6)
         assert table.is_downward_closed()
 
+    def test_default_seed_names_each_pattern(self):
+        # isomorphic patterns are each listed, by their canonical line
+        c4 = make_cyclic(4)
+        table = avoidance_closure([c4, make_T((3,)), c4.relabel([2, 0, 3, 1])], 5)
+        assert table.seed == "avoid 3:010,4:001000,4:001000"
+
+    def test_default_seed_makes_no_search_of_its_own(self, monkeypatch):
+        real = canon._search
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(canon, "_search", counted)
+        made = []
+        for desc in ("given", None):
+            canon._canon_code.cache_clear()
+            calls.clear()
+            avoidance_closure([make_cyclic(4).relabel([2, 0, 3, 1])], 3, seed_description=desc)
+            made.append(len(calls))
+        assert made[1] <= made[0]
+
     def test_memory_budget_stops_part_way_through_a_level(self):
         with pytest.raises(BudgetExceededError) as exc:
             avoidance_closure([], 6, mem_budget=2000)
@@ -329,6 +375,18 @@ class TestCountingChecks:
         assert count_tn_lower(2) == 0
         assert count_tn_lower(6) == 6
         assert count_tn_lower(8) == 78
+
+    def test_type1_subs_are_TS(self):
+        # the sub-tournament carved for S is make_TS(n, S), labelled
+        for n in range(2, 13):
+            for bits, sub in enumerate(carved_type1_subs(n)):
+                s = [i for i in range(1, n) if bits >> (i - 1) & 1]
+                assert sub == make_TS(n, s), (n, bits)
+
+    def test_type1_classes_match_the_carved_subs(self):
+        for n in range(2, 11):
+            want = {canonical_form(sub) for sub in carved_type1_subs(n)}
+            assert type1_tn_classes(n) == len(want), n
 
     def test_type1_carries_enough_classes(self):
         assert type1_tn_classes(8) >= 78
