@@ -46,21 +46,29 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 RANDOM_MAX_N = 2048  # `gen` cap, every family: ~2M pair bits, a 2 MB .trn file
-# `gen` families: the least and most parameters each takes, and its vertex
-# count from them, checked against the cap before anything is built
+# `gen` families: the least and most parameters each takes, its vertex count
+# n from them, checked against the cap before anything is built, and its
+# builder from the parameters (padded with "" for those not given), n and
+# the seed
 FAMILIES = {
-    "T": (1, 1, lambda p: sum(_csv_ints(p[0]))),
-    "M": (2, 2, lambda p: 3 * int(p[1])),
-    "Mk": (2, 2, lambda p: int(p[0]) * int(p[1])),
-    "cyclic": (1, 1, lambda p: int(p[0])),
-    "TS": (1, 2, lambda p: int(p[0])),
-    "Tstar": (1, 3, lambda p: int(p[0])),
-    "type1": (1, 2, lambda p: 2 * int(p[0]) + 1),
+    "T": (1, 1, lambda p: sum(_csv_ints(p[0])), lambda p, n, seed: make_T(_csv_ints(p[0]))),
+    "M": (2, 2, lambda p: 3 * int(p[1]),
+          lambda p, n, seed: make_M(FlagTriple.coerce(_csv_ints(p[0])), int(p[1]))),
+    "Mk": (2, 2, lambda p: int(p[0]) * int(p[1]),
+           lambda p, n, seed: make_M_general(int(p[0]), int(p[1]))),
+    "cyclic": (1, 1, lambda p: int(p[0]), lambda p, n, seed: make_cyclic(n)),
+    "TS": (1, 2, lambda p: int(p[0]), lambda p, n, seed: make_TS(n, _csv_ints(p[1]))),
+    "Tstar": (1, 3, lambda p: int(p[0]), lambda p, n, seed: make_Tstar(
+        ReversalSpec(n, tuple(_csv_ints(p[1])), tuple(_csv_ints(p[2]))))),
+    "type1": (1, 2, lambda p: 2 * int(p[0]) + 1,
+              lambda p, n, seed: make_type1(int(p[0]), int(p[1]) if p[1] else 1)),
     # make_moon_tower refuses a level past its own bound, which is under the cap
-    "moon": (1, 1, lambda p: MAX_TOWER_VERTICES),
+    "moon": (1, 1, lambda p: MAX_TOWER_VERTICES,
+             lambda p, n, seed: make_moon_tower(int(p[0]))),
     # the cyclic quotient on one vertex per block is built too
-    "blowup": (1, 1, lambda p: max(sum(s := _csv_ints(p[0])), len(s))),
-    "random": (1, 1, lambda p: int(p[0])),
+    "blowup": (1, 1, lambda p: max(sum(s := _csv_ints(p[0])), len(s)),
+               lambda p, n, seed: make_cyclic_blowup(_csv_ints(p[0]))),
+    "random": (1, 1, lambda p: int(p[0]), lambda p, n, seed: random_tournament(n, seed)),
 }
 
 
@@ -91,39 +99,18 @@ def _gen(args) -> int:
     if fam not in FAMILIES:
         print(f"unknown family {fam!r}", file=sys.stderr)
         return EXIT_USAGE
-    least, most, size = FAMILIES[fam]
+    least, most, size, build = FAMILIES[fam]
     if len(params) < least:
         raise ValueError("missing family parameters")
     if len(params) > most:
         raise ValueError(
             f"too many family parameters: gen {fam} takes at most {most}, got {len(params)}"
         )
-    n = size(params)
+    padded = params + ["", ""]
+    n = size(padded)
     if n > RANDOM_MAX_N:
         raise InfeasibleSizeError(f"gen {fam} is capped at {RANDOM_MAX_N} vertices, got {n}")
-    opt = params[1:] + ["", ""]  # the optional parameters, "" when not given
-    if fam == "T":
-        t = make_T(_csv_ints(params[0]))
-    elif fam == "M":
-        t = make_M(FlagTriple.coerce(_csv_ints(params[0])), int(params[1]))
-    elif fam == "Mk":
-        t = make_M_general(int(params[0]), int(params[1]))
-    elif fam == "cyclic":
-        t = make_cyclic(n)
-    elif fam == "TS":
-        t = make_TS(n, _csv_ints(opt[0]))
-    elif fam == "Tstar":
-        s, sigma = tuple(_csv_ints(opt[0])), tuple(_csv_ints(opt[1]))
-        t = make_Tstar(ReversalSpec(n, s, sigma))
-    elif fam == "type1":
-        t = make_type1(int(params[0]), int(opt[0]) if opt[0] else 1)
-    elif fam == "moon":
-        t = make_moon_tower(int(params[0]))
-    elif fam == "blowup":
-        t = make_cyclic_blowup(_csv_ints(params[0]))
-    else:  # random
-        t = random_tournament(n, args.seed)
-    text = t.to_trn()
+    text = build(padded, n, args.seed).to_trn()
     if args.output:
         Path(args.output).write_text(text)
     else:

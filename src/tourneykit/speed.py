@@ -502,7 +502,7 @@ def type1_tn_classes(n: int) -> int:
     if n < 2:
         raise ValueError("n must be >= 2")
     return len({
-        _canon_code(n, make_TS(n, [i for i in range(1, n) if bits >> (i - 1) & 1]).bits)
+        canonical_code(n, make_TS(n, [i for i in range(1, n) if bits >> (i - 1) & 1]).bits)
         for bits in range(1 << (n - 1))
     })
 

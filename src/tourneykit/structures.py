@@ -9,9 +9,11 @@ A type-2 k-structure is a transitive chain x_1..x_2k plus distinct extra
 vertices y_1..y_k with x_{2i} -> y_i -> x_{2i-1}; all other edges at the
 y's are unconstrained, so it is a partial pattern.
 
-Both kinds, and induced containment (``contains_induced``), are found by
-one embedding search, ``_embed``: a pattern given as out-masks plus the
-pairs it fixes, with candidates kept as host bitmasks narrowed by the
+Each witness kind (a transitive chain, either type-1 flavor, type-2, an
+induced embedding) is one pattern, built by ``_pattern`` in witness order
+as out-masks plus the pairs it fixes.  The search reads it to find a
+witness and ``StructureWitness.validate`` reads it to check one.  The
+search, ``_embed``, keeps its candidates as host bitmasks narrowed by the
 choices already made (Ullmann, "An algorithm for subgraph isomorphism",
 J. ACM 23, 1976).  Every witness is the lexicographically least
 assignment vector.
@@ -44,47 +46,48 @@ class StructureWitness:
         a = self.assignment
         if len(set(a)) != len(a) or not all(0 <= v < host.n for v in a):
             return False
-        if self.kind == "transitive":
-            return _is_chain(host, a)
-        if self.kind in ("type1-flavorA", "type1-flavorB"):
-            k2 = len(a) - 1
-            if k2 < 2 or k2 % 2:
-                return False
-            xs, y = a[:k2], a[-1]
-            if not _is_chain(host, xs):
-                return False
-            flavor = 1 if self.kind.endswith("A") else 0
-            for i1 in range(1, k2 + 1):
-                want = (i1 % 2 == 1) == (flavor == 1)
-                if host.beats(y, xs[i1 - 1]) != want:
-                    return False
-            return True
-        if self.kind == "type2":
-            if len(a) % 3:
-                return False
-            k = len(a) // 3
-            xs, ys = a[: 2 * k], a[2 * k :]
-            if not _is_chain(host, xs):
-                return False
-            return all(
-                host.beats(xs[2 * i + 1], ys[i]) and host.beats(ys[i], xs[2 * i])
-                for i in range(k)
-            )
-        if self.kind == "embedding":
-            if pattern is None or pattern.n != len(a):
-                return False
-            return all(
-                pattern.beats(q, r) == host.beats(a[q], a[r])
-                for q in range(len(a))
-                for r in range(q + 1, len(a))
-            )
-        return False
+        found = _pattern(self.kind, len(a), pattern)
+        if found is None:
+            return False
+        pout, care = found
+        tout = host.out_masks
+        return all(
+            (tout[a[p]] >> a[q] & 1) == (pout[p] >> q & 1)
+            for p in range(len(a))
+            for q in range(p + 1, len(a))
+            if care[p] >> q & 1
+        )
 
 
-def _is_chain(t: Tournament, vs: tuple[int, ...]) -> bool:
-    return all(
-        t.beats(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))
-    )
+def _pattern(
+    kind: str, k: int, pattern: Tournament | None = None
+) -> tuple[Sequence[int], list[int]] | None:
+    """The pattern of a witness kind on k vertices, in witness order, as
+    (pout, care): bit q of pout[p] means p -> q, and the symmetric masks
+    care mark the fixed pairs.  None when no witness of that kind has k
+    vertices; an embedding's pattern is the given tournament's."""
+    if kind == "type2":
+        if k % 3:
+            return None
+        m = 2 * k // 3  # the chain x_1..x_m, then y_1..y_{m/2}
+        chain = (1 << m) - 1
+        # x_a (0-based a) is y_{a//2}'s sandwich vertex; x_{2i+1} -> y_i -> x_{2i}
+        # is fixed, and every other pair at the y's is free
+        pout = [chain ^ ((2 << a) - 1) | (a & 1) << (m + a // 2) for a in range(m)]
+        pout += [1 << 2 * i for i in range(m // 2)]
+        care = [chain ^ (1 << a) | 1 << (m + a // 2) for a in range(m)]
+        care += [3 << 2 * i for i in range(m // 2)]
+        return pout, care
+    every = (1 << k) - 1
+    if kind == "transitive":
+        pout = [every ^ ((2 << p) - 1) for p in range(k)]
+    elif kind in ("type1-flavorA", "type1-flavorB") and k % 2 and k > 1:
+        pout = make_type1(k // 2, int(kind == "type1-flavorA")).out_masks
+    elif kind == "embedding" and pattern is not None and pattern.n == k:
+        pout = pattern.out_masks
+    else:
+        return None
+    return pout, [every ^ (1 << p) for p in range(k)]
 
 
 def max_transitive(t: Tournament) -> StructureWitness:
@@ -199,8 +202,7 @@ def _embed(
 def contains_induced(t: Tournament, h: Tournament) -> StructureWitness | None:
     """The lexicographically least induced embedding of h in t (pattern
     vertex q goes to host vertex assignment[q]), or None."""
-    every = (1 << h.n) - 1
-    found = _embed(t, h.out_masks, [every ^ (1 << p) for p in range(h.n)])
+    found = _embed(t, *_pattern("embedding", h.n, h))
     return None if found is None else StructureWitness("embedding", found)
 
 
@@ -210,32 +212,20 @@ def detect_type1(t: Tournament, k: int) -> StructureWitness | None:
         raise ValueError("k must be >= 1")
     if k > DETECT_K_BOUND:
         raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
-    for flavor, kind in ((1, "type1-flavorA"), (0, "type1-flavorB")):
-        found = contains_induced(t, make_type1(k, flavor))
+    for kind in ("type1-flavorA", "type1-flavorB"):
+        found = _embed(t, *_pattern(kind, 2 * k + 1))
         if found is not None:
-            return StructureWitness(kind, found.assignment)
+            return StructureWitness(kind, found)
     return None
 
 
 def detect_type2(t: Tournament, k: int) -> StructureWitness | None:
-    """First type-2 k-structure found (lexicographically least assignment).
-
-    The pattern, in witness order x_1..x_2k, y_1..y_k, fixes the chain
-    pairs and the two sandwich pairs x_{2i} -> y_i -> x_{2i-1} of each y;
-    every other pair at the y's is free.
-    """
+    """First type-2 k-structure found (lexicographically least assignment)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > DETECT_K_BOUND:
         raise InfeasibleSizeError(f"detection limited to k <= {DETECT_K_BOUND}")
-    m = 2 * k
-    chain = (1 << m) - 1
-    # x_a (0-based a) is y_{a//2}'s sandwich vertex; x_{2i+1} -> y_i -> x_{2i}
-    pout = [chain ^ ((2 << a) - 1) | (a & 1) << (m + a // 2) for a in range(m)]
-    pout += [1 << 2 * i for i in range(k)]
-    care = [chain ^ (1 << a) | 1 << (m + a // 2) for a in range(m)]
-    care += [3 << 2 * i for i in range(k)]
-    found = _embed(t, pout, care)
+    found = _embed(t, *_pattern("type2", 3 * k))
     return None if found is None else StructureWitness("type2", found)
 
 

@@ -37,7 +37,10 @@ per quotient arc, the reference for the substitution by runs.
 pair by its edge, a triple by index) before reading S off the degrees,
 and ``carved_type1_subs`` carves the chain-plus-y sub-tournaments out of a
 type-1 structure with ``induced``: the references for ``reconstruct_S``
-and ``type1_tn_classes``.
+and ``type1_tn_classes``.  ``brute_witness_valid`` checks a witness of each
+structure kind against its definition (``brute_is_chain``,
+``brute_is_type1``, ``brute_is_type2``, or an induced embedding), the
+reference for ``StructureWitness.validate``.
 """
 
 from __future__ import annotations
@@ -345,6 +348,56 @@ def brute_first_type2(t: Tournament, k: int) -> tuple[int, ...] | None:
         ):
             return img
     return None
+
+
+def brute_is_chain(t: Tournament, vs: tuple[int, ...]) -> bool:
+    """Each vertex beats every later one: a transitive chain in beat order."""
+    return all(t.beats(u, v) for u, v in combinations(vs, 2))
+
+
+def brute_is_type1(t: Tournament, a: tuple[int, ...], flavor: int) -> bool:
+    """a = (x_1..x_2k, y), k >= 1: a chain of the x's, y -> x_i iff
+    x_{i+1} -> y, and y -> x_1 exactly when flavor is 1."""
+    if len(a) < 3 or len(a) % 2 == 0:
+        return False
+    xs, y = a[:-1], a[-1]
+    return (
+        brute_is_chain(t, xs)
+        and t.beats(y, xs[0]) == (flavor == 1)
+        and all(t.beats(y, xs[i]) == t.beats(xs[i + 1], y) for i in range(len(xs) - 1))
+    )
+
+
+def brute_is_type2(t: Tournament, a: tuple[int, ...]) -> bool:
+    """a = (x_1..x_2k, y_1..y_k): a chain of the x's and x_{2i} -> y_i ->
+    x_{2i-1} for each i."""
+    k = len(a) // 3
+    xs, ys = a[: 2 * k], a[2 * k :]
+    return (
+        len(a) % 3 == 0
+        and brute_is_chain(t, xs)
+        and all(t.beats(xs[2 * i + 1], ys[i]) and t.beats(ys[i], xs[2 * i]) for i in range(k))
+    )
+
+
+def brute_witness_valid(
+    t: Tournament, kind: str, a: tuple[int, ...], h: Tournament | None = None
+) -> bool:
+    """Whether the distinct host vertices a form a witness of that kind,
+    each kind checked from its definition."""
+    if len(set(a)) != len(a) or not all(0 <= v < t.n for v in a):
+        return False
+    if kind == "transitive":
+        return brute_is_chain(t, a)
+    if kind in ("type1-flavorA", "type1-flavorB"):
+        return brute_is_type1(t, a, 1 if kind == "type1-flavorA" else 0)
+    if kind == "type2":
+        return brute_is_type2(t, a)
+    if kind == "embedding":
+        return h is not None and h.n == len(a) and all(
+            h.beats(p, q) == t.beats(a[p], a[q]) for p, q in combinations(range(h.n), 2)
+        )
+    return False
 
 
 def all_labelled(n: int):

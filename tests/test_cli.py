@@ -576,13 +576,17 @@ def test_gen_size_cap_covers_every_family(tmp_path, capsys, params, n):
         (["Tstar", "2048", "1,2,3,4", "2,1"], 2048, "1596a8ab2338"),
         (["type1", "1023"], 2047, "295932be0115"),
         (["T", ",".join(["1"] * 2048)], 2048, "d1c986ba5549"),
+        (["moon", "5"], 243, "d9deca75eabc"),
+        (["blowup", "700,700,648"], 2048, "4ce44082220e"),
+        (["random", "2048"], 2048, "9ae3b996b0fd"),
     ],
-    ids=["cyclic", "M", "Mk", "TS", "Tstar", "type1", "T"],
+    ids=["cyclic", "M", "Mk", "TS", "Tstar", "type1", "T", "moon", "blowup", "random"],
 )
 def test_gen_at_the_cap(tmp_path, capsys, params, n, digest):
     # each family is built from out-mask rows in well under a second here;
     # the digests are sha256 prefixes of the files a per-pair predicate built
-    # (for T, of the file one block span per quotient arc built)
+    # (for T, of the file one block span per quotient arc built; for moon,
+    # blowup and random, of the files the per-family dispatch of `gen` built)
     path = tmp_path / "t.trn"
     code, _, err = _run(capsys, ["gen", *params, "-o", str(path)])
     assert code == 0, err

@@ -388,6 +388,17 @@ class TestCountingChecks:
             want = {canonical_form(sub) for sub in carved_type1_subs(n)}
             assert type1_tn_classes(n) == len(want), n
 
+    def test_type1_classes_bypass_the_shared_cache(self):
+        # every carved sub-tournament is a distinct labelled code, so cached
+        # codes would only fill the cache the closures share
+        before = canon._canon_code.cache_info()
+        assert type1_tn_classes(10) == 475
+        assert canon._canon_code.cache_info() == before
+
+    def test_type1_class_counts(self):
+        got = [type1_tn_classes(n) for n in range(2, 13)]
+        assert got == [1, 2, 4, 9, 21, 48, 106, 227, 475, 978, 1992]
+
     def test_type1_carries_enough_classes(self):
         assert type1_tn_classes(8) >= 78
         for n in range(2, 9):

@@ -2,12 +2,18 @@
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from oracles import all_labelled, brute_first_type2, brute_type1, brute_type2
+from oracles import (
+    all_labelled,
+    brute_first_type2,
+    brute_type1,
+    brute_type2,
+    brute_witness_valid,
+)
 from tourneykit import (
     InfeasibleSizeError,
     StructureWitness,
@@ -132,6 +138,50 @@ class TestWitnessValidate:
         host = Tournament(3, 0b111)  # transitive: 0 -> 1 -> 2, 0 -> 2
         pattern = transitive(len(assignment))
         assert StructureWitness(kind, assignment).validate(host, pattern) is False
+
+    def test_matches_the_definitions_on_every_five_vertex_host(self):
+        # every injective assignment: type-1 with k = 1, 2, type-2 with
+        # k = 1, and 4-chains
+        cases = [
+            (kind, a)
+            for size, kinds in (
+                (3, ("type1-flavorA", "type1-flavorB", "type2")),
+                (5, ("type1-flavorA", "type1-flavorB")),
+                (4, ("transitive",)),
+            )
+            for a in permutations(range(5), size)
+            for kind in kinds
+        ]
+        for t in all_labelled(5):
+            for kind, a in cases:
+                got = StructureWitness(kind, a).validate(t)
+                assert got == brute_witness_valid(t, kind, a), (t, kind, a)
+
+    def test_embedding_matches_the_definition(self):
+        for t in all_labelled(4):
+            for h in all_labelled(3):
+                for a in permutations(range(4), 3):
+                    got = StructureWitness("embedding", a).validate(t, h)
+                    assert got == brute_witness_valid(t, "embedding", a, h), (t, h, a)
+
+    @pytest.mark.parametrize(
+        "kind, assignment, pattern",
+        [
+            ("type1-flavorA", (0, 1), None),
+            ("type1-flavorB", (0, 1, 2, 3), None),
+            ("type1-flavorA", (0,), None),
+            ("type2", (0, 1), None),
+            ("type2", (0, 1, 2, 3), None),
+            ("type2", (0, 1, 2, 3, 4), None),
+            ("type1", (0, 1, 2), None),
+            ("chain", (0, 1), None),
+            ("embedding", (0, 1, 2), None),
+            ("embedding", (0, 1, 2), transitive(4)),
+        ],
+    )
+    def test_wrong_shapes_are_invalid(self, kind, assignment, pattern):
+        for host in all_labelled(5):
+            assert StructureWitness(kind, assignment).validate(host, pattern) is False
 
 
 class TestEmbed:
