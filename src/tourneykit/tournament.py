@@ -18,6 +18,8 @@ pure function, so values can be shared freely between threads/processes.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+from itertools import combinations, compress, starmap
 from typing import Callable, Iterable, Sequence
 
 
@@ -33,6 +35,18 @@ def pair_count(n: int) -> int:
 def pair_index(n: int, i: int, j: int) -> int:
     """Row-major bit position of the pair (i, j); requires i < j."""
     return i * (2 * n - i - 1) // 2 + (j - i - 1)
+
+
+# 1 << k for one chunk of pair positions, k < C(32, 2): from_beats sums
+# these over each chunk of pairs in turn (about 30 KB, kept for good).
+_PAIR_BITS = tuple(1 << k for k in range(pair_count(32)))
+
+
+@lru_cache(maxsize=16)
+def _row_major_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (i, j), i < j, of an n-vertex tournament in row-major
+    order; O(n^2) small tuples, so from_beats keeps them for n <= 64 only."""
+    return tuple(combinations(range(n), 2))
 
 
 def bits_to_line(n: int, bits: int) -> str:
@@ -174,17 +188,22 @@ class Tournament:
     def from_beats(cls, n: int, beats: Callable[[int, int], bool]) -> "Tournament":
         """Build from an orientation predicate evaluated on pairs i < j.
 
-        One predicate call per pair, and each bit is ORed into one growing
-        integer, so the packing is quadratic in the pair count.  The library
-        builds from it only where perfbench counts its calls (the extension
-        BFS and ``concat``); the families are built from out-mask rows."""
-        bits = 0
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if beats(i, j):
-                    bits |= 1 << k
-                k += 1
+        ``beats`` is called once per pair, in row-major order, and the
+        truth value of call k sets bit k.  The calls run in C: ``starmap``
+        over the row-major pairs (kept for each n <= 64 in a 16-entry LRU,
+        generated on the fly above that), and ``compress`` sums the powers
+        in ``_PAIR_BITS`` that the truthy calls pick.  ``compress`` stops
+        when the powers run out, so pairs past the first C(32, 2) are
+        summed chunk by chunk and shifted into place; no tuple of
+        O(pairs^2) bits is built at any n.
+
+        The families are built from out-mask rows.  The library still builds
+        from a predicate where perfbench counts the calls against the work:
+        every extension the extension BFS tries, and ``concat``."""
+        calls = starmap(beats, _row_major_pairs(n) if n <= 64 else combinations(range(n), 2))
+        bits = sum(compress(_PAIR_BITS, calls))
+        for shift in range(len(_PAIR_BITS), pair_count(n), len(_PAIR_BITS)):
+            bits |= sum(compress(_PAIR_BITS, calls)) << shift
         return cls(n, bits)
 
     @classmethod
@@ -323,16 +342,11 @@ class Tournament:
 def concat(g1: Tournament, g2: Tournament) -> Tournament:
     """Ordered concatenation: g1's block first, every cross pair g1 -> g2."""
     n1 = g1.n
-    n = n1 + g2.n
-
-    def beats(i: int, j: int) -> bool:
-        if j < n1:
-            return g1.beats(i, j)
-        if i >= n1:
-            return g2.beats(i - n1, j - n1)
-        return True
-
-    return Tournament.from_beats(n, beats)
+    o1, o2 = g1.out_masks, g2.out_masks
+    return Tournament.from_beats(
+        n1 + g2.n,
+        lambda i, j: o1[i] >> j & 1 if j < n1 else i < n1 or o2[i - n1] >> (j - n1) & 1,
+    )
 
 
 def substitute(quotient: Tournament, parts: Sequence[Tournament]) -> Tournament:

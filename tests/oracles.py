@@ -40,7 +40,9 @@ type-1 structure with ``induced``: the references for ``reconstruct_S``
 and ``type1_tn_classes``.  ``brute_witness_valid`` checks a witness of each
 structure kind against its definition (``brute_is_chain``,
 ``brute_is_type1``, ``brute_is_type2``, or an induced embedding), the
-reference for ``StructureWitness.validate``.
+reference for ``StructureWitness.validate``.  ``reference_from_beats``
+packs a predicate's pair bits in a Python double loop, the reference for
+``Tournament.from_beats``.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ def reference_line_to_bits(line: str) -> int:
             bits |= 1 << k
         elif ch != "0":
             raise ValueError(f"invalid pair-bit character {ch!r}")
+    return bits
+
+
+def reference_from_beats(n: int, beats) -> int:
+    """Packed pair bits of the predicate ``beats`` on pairs i < j, one call
+    per pair in row-major order, bit k set when call k is truthy."""
+    bits = 0
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if beats(i, j):
+                bits |= 1 << k
+            k += 1
     return bits
 
 

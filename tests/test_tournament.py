@@ -3,7 +3,9 @@
 import random
 import re
 import time
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from oracles import (
     brute_strongly_connected,
     pair_out_masks,
     reference_bits_to_line,
+    reference_from_beats,
     reference_line_to_bits,
 )
 from tourneykit import (
@@ -30,8 +33,10 @@ from tourneykit import (
     substitute,
 )
 from tourneykit.tournament import (
+    _PAIR_BITS,
     _delete_bits,
     _delete_out,
+    _row_major_pairs,
     _strong_components,
     bits_to_line,
     bits_to_out_masks,
@@ -278,6 +283,111 @@ class TestStrongComponents:
             assert _strong_components(t.out_masks) == brute_strong_components(t), t
 
 
+class _Truthy:
+    """Truthy or not by a flag, through ``__bool__``."""
+
+    def __init__(self, flag):
+        self.flag = flag
+
+    def __bool__(self):
+        return bool(self.flag)
+
+
+# n = 0..40 and 100: one chunk of pair bits, several chunks, and beyond the
+# sizes whose pairs are kept
+FROM_BEATS_SIZES = (*range(41), 100)
+
+
+class _Recorder:
+    """A predicate that records its calls, returns ``values[k]`` on call k
+    and raises on call ``stop``."""
+
+    def __init__(self, values, stop=None):
+        self.values = values
+        self.stop = stop
+        self.calls = []
+
+    def __call__(self, i, j):
+        if len(self.calls) == self.stop:
+            raise RuntimeError(f"stop at pair {self.stop}")
+        self.calls.append((i, j))
+        return self.values[len(self.calls) - 1]
+
+
+class TestFromBeats:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            lambda b: b,
+            bool,
+            np.bool_,
+            _Truthy,
+            lambda b: [0] * b,
+            lambda b: "x" if b else "",
+            lambda b: 7 if b else None,
+        ],
+        ids=["int", "bool", "numpy.bool_", "__bool__", "list", "str", "None"],
+    )
+    def test_bits_match_reference(self, kind):
+        rng = random.Random(7)
+        for n in FROM_BEATS_SIZES:
+            values = [kind(rng.getrandbits(1)) for _ in range(pair_count(n))]
+            got = Tournament.from_beats(n, _Recorder(values))
+            assert got.bits == reference_from_beats(n, _Recorder(values)), n
+
+    def test_calls_once_per_pair_in_row_major_order(self):
+        # so a chunk of pair bits shorter than the pairs drops none of them
+        for n in FROM_BEATS_SIZES:
+            got = _Recorder([1] * pair_count(n))
+            want = _Recorder([1] * pair_count(n))
+            Tournament.from_beats(n, got)
+            reference_from_beats(n, want)
+            assert got.calls == want.calls == list(combinations(range(n), 2)), n
+
+    def test_a_raise_propagates_after_the_same_calls(self):
+        chunk = len(_PAIR_BITS)
+        for n in (2, 5, 12, 33, 40, 100):
+            m = pair_count(n)
+            for stop in sorted({0, 1, m // 2, m - 1, chunk - 1, chunk, chunk + 1} & set(range(m))):
+                got = _Recorder([1] * m, stop)
+                want = _Recorder([1] * m, stop)
+                with pytest.raises(RuntimeError, match=f"stop at pair {stop}$"):
+                    Tournament.from_beats(n, got)
+                with pytest.raises(RuntimeError, match=f"stop at pair {stop}$"):
+                    reference_from_beats(n, want)
+                assert got.calls == want.calls == list(combinations(range(n), 2))[:stop]
+
+    def test_nothing_kept_above_64_vertices(self):
+        before = _row_major_pairs.cache_info()
+        Tournament.from_beats(100, lambda i, j: (i ^ j) & 1)
+        assert _row_major_pairs.cache_info() == before
+
+
+class TestReverseHashRepr:
+    def test_reverse_flips_every_pair(self):
+        for n in range(6):
+            for t in all_labelled(n):
+                r = t.reverse()
+                assert r.n == n and r.reverse() == t
+                assert all(
+                    r.beats(v, u) == t.beats(u, v)
+                    for u in range(n)
+                    for v in range(n)
+                    if u != v
+                )
+
+    def test_equal_values_hash_equal(self):
+        t = random_tournament(9, 4)
+        same = Tournament(9, t.bits)
+        assert hash(same) == hash(t)
+        assert len({t, same, t.reverse()}) == 2
+        assert Tournament(0) != Tournament(1) and hash(Tournament(0)) == hash(Tournament(0))
+
+    def test_repr_names_size_and_bits(self):
+        assert repr(Tournament(3, 5)) == "Tournament(n=3, bits=0x5)"
+        assert repr(Tournament(0)) == "Tournament(n=0, bits=0x0)"
+
+
 class TestConcat:
     def test_two_singles(self):
         assert concat(Tournament(1), Tournament(1)) == transitive(2)
@@ -288,6 +398,21 @@ class TestConcat:
     def test_triangles_give_stacked_pair(self):
         got = concat(make_T((3,)), make_T((3,)))
         assert canonical_form(got) == canonical_form(make_T((3, 3)))
+
+    def test_matches_the_pairwise_predicate(self):
+        for n1 in range(4):
+            for g1 in all_labelled(n1):
+                for n2 in range(4):
+                    for g2 in all_labelled(n2):
+                        want = reference_from_beats(
+                            n1 + n2,
+                            lambda i, j: (
+                                g1.beats(i, j)
+                                if j < n1
+                                else i < n1 or g2.beats(i - n1, j - n1)
+                            ),
+                        )
+                        assert concat(g1, g2).bits == want
 
     @given(tournaments(5), tournaments(5))
     @settings(max_examples=60, deadline=None)
