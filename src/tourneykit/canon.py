@@ -22,7 +22,7 @@ partition of a node's first child when the node is expanded, and of a
 later child, handed to it as the resumed kid, when the walk takes that
 child, so a skipped child costs none.  The search runs on
 out-masks, which the deletion closure derives for each child from its
-parent's.
+parent's, and the extension BFS for each kept extension from its base's.
 
 The tree is walked depth first with an explicit stack of branch points,
 the nodes with more than one tied child (no recursion), pruned in two
@@ -102,8 +102,9 @@ def is_isomorphic(t1: Tournament, t2: Tournament) -> bool:
 def canonical_code(n: int, bits: int) -> int:
     """Canonical code of the tournament (n, bits), searched afresh.
 
-    For callers whose inputs rarely repeat (the extension BFS's survivors,
-    the concatenation witnesses); ``_canon_code`` caches it for the rest.
+    For callers whose inputs rarely repeat (the concatenation witnesses,
+    the carved type-1 sub-tournaments); ``_canon_code`` caches it for the
+    rest.
     """
     return _search(bits_to_out_masks(n, bits))[0]
 

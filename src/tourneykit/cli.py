@@ -189,6 +189,12 @@ def _subcount(args) -> int:
         print("subcount --csv needs --scan: only a scan is a table", file=sys.stderr)
         return EXIT_USAGE
     if args.cyclic:
+        if args.m is not None or args.scan is not None:
+            print(
+                "subcount --cyclic takes no --m or --scan: its host is cyclic(2n)",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         result = {"n": args.n, "count": count_cyclic_subs(args.n)}
     elif args.flags is None:
         print("subcount needs --flags or --cyclic", file=sys.stderr)
@@ -272,19 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=_detect)
 
     s = sub.add_parser("speed", help="speed table of a hereditary property")
-    s.add_argument("--seeds", nargs="+", help=".trn seeds for deletion closure")
-    s.add_argument("--avoid", nargs="+", help=".trn forbidden patterns")
+    closure = s.add_mutually_exclusive_group()
+    closure.add_argument("--seeds", nargs="+", help=".trn seeds for deletion closure")
+    closure.add_argument("--avoid", nargs="+", help=".trn forbidden patterns")
     s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--forms", action="store_true", help="include canonical lines")
-    s.add_argument("--csv", action="store_true", help="CSV output, n,count")
+    output = s.add_mutually_exclusive_group()
+    output.add_argument("--forms", action="store_true", help="include canonical lines")
+    output.add_argument("--csv", action="store_true", help="CSV output, n,count")
     s.set_defaults(fn=_speed)
 
     sc = sub.add_parser("subcount", help="count n-vertex sub-tournament classes")
     sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--flags", help="I1,I2,I3 for the layered flag family")
-    sc.add_argument("--m", type=int, help="host layer count")
-    sc.add_argument("--scan", type=int, help="scan m upward to this bound")
-    sc.add_argument("--cyclic", action="store_true", help="use the cyclic host")
+    host = sc.add_mutually_exclusive_group()
+    host.add_argument("--flags", help="I1,I2,I3 for the layered flag family")
+    host.add_argument("--cyclic", action="store_true", help="use the cyclic host")
+    layers = sc.add_mutually_exclusive_group()
+    layers.add_argument("--m", type=int, help="host layer count")
+    layers.add_argument("--scan", type=int, help="scan m upward to this bound")
     sc.add_argument("--csv", action="store_true", help="CSV output of --scan, m,count")
     sc.set_defaults(fn=_subcount)
 

@@ -1,6 +1,7 @@
 """The extension BFS's per-base pattern test against the per-extension
 reference and against brute-force containment."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -25,9 +26,10 @@ from tourneykit import (
     make_cyclic,
     random_tournament,
 )
-from tourneykit.canon import _canon_code
+from tourneykit import canon, speed, tournament
+from tourneykit.canon import _canon_code, _search
 from tourneykit.speed import _least_invariant_masks, _rejected_masks
-from tourneykit.tournament import line_to_bits
+from tourneykit.tournament import bits_to_out_masks, line_to_bits
 
 C3 = make_T((3,))
 TT3 = make_T((1, 1, 1))
@@ -194,6 +196,59 @@ class TestLeastInvariantFilter:
         all_classes(6)
         after = _canon_code.cache_info()
         assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+class TestSurvivorSearch:
+    """Each kept extension is searched once, on out-masks read off its
+    base's, with no packed code built and decoded on the way."""
+
+    @pytest.mark.parametrize(
+        "patterns, n_max", [([], 6), ([C4], 8)], ids=["all-classes-6", "cyclic4-8"]
+    )
+    def test_each_kept_mask_is_searched_on_its_extension(
+        self, monkeypatch, patterns, n_max
+    ):
+        calls = []  # (base, its kept masks, the out-masks searched)
+
+        def least(base, masks):
+            kept = _least_invariant_masks(base, masks)
+            calls.append((base, kept, []))
+            return kept
+
+        def search(out, known=()):
+            calls[-1][2].append(tuple(out))
+            return _search(out, known)
+
+        monkeypatch.setattr(speed, "_least_invariant_masks", least)
+        monkeypatch.setattr(speed, "_search", search)
+        table = avoidance_closure(patterns, n_max)
+        forb = by_size(patterns)
+        bases = [(base.n, base.bits) for base, _, _ in calls]
+        assert sorted(bases) == sorted(
+            (k, c) for k in range(1, n_max) for c in table.codes[k]
+        )
+        for base, kept, searched in calls:
+            survivors = [
+                m for m in range(1 << base.n)
+                if avoids_through_last(extension(base, m), forb)
+            ]
+            assert kept == _least_invariant_masks(base, survivors), base
+            assert searched == [pair_out_masks(extension(base, m)) for m in kept], base
+
+    def test_packed_bits_are_decoded_once_per_base(self, monkeypatch):
+        _canon_code(1, 0)  # cache the one-vertex start: only the BFS's decodes count
+        decoded = Counter()
+
+        def counted(n, bits):
+            decoded[n, bits] += 1
+            return bits_to_out_masks(n, bits)
+
+        for module in (tournament, canon, speed):
+            monkeypatch.setattr(module, "bits_to_out_masks", counted)
+        table = all_classes(7)
+        # each base's out-masks once, and none for the 6880 - 1 kept extensions
+        assert decoded == Counter((k, c) for k in range(1, 7) for c in table.codes[k])
+        assert sum(decoded.values()) == 1 + 1 + 2 + 4 + 12 + 56  # A000568(1..6)
 
 
 class TestWideCodes:

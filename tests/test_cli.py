@@ -495,6 +495,38 @@ def test_subcount_flags_without_m_or_scan_is_usage_error(capsys):
     assert "--m or --scan" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["speed", "--seeds", "{c4}", "--avoid", "{c4}", "--n-max", "4"],
+         "argument --avoid: not allowed with argument --seeds"),
+        (["speed", "--avoid", "{c4}", "--n-max", "4", "--forms", "--csv"],
+         "argument --csv: not allowed with argument --forms"),
+        (["subcount", "--cyclic", "--flags", "1,1,1", "--m", "2", "--n", "3"],
+         "argument --flags: not allowed with argument --cyclic"),
+        (["subcount", "--flags", "1,1,1", "--m", "2", "--scan", "5", "--n", "3"],
+         "argument --scan: not allowed with argument --m"),
+        (["subcount", "--cyclic", "--m", "2", "--n", "3"], "--cyclic takes no --m or --scan"),
+        (["subcount", "--cyclic", "--scan", "5", "--csv", "--n", "3"],
+         "--cyclic takes no --m or --scan"),
+    ],
+    ids=["seeds-avoid", "forms-csv", "cyclic-flags-m", "m-scan", "cyclic-m", "cyclic-scan-csv"],
+)
+def test_conflicting_options_are_usage_errors(tmp_path, capsys, argv, message):
+    # each input would otherwise be dropped in silence; the pattern file
+    # exists, so only the conflict can fail
+    c4 = tmp_path / "c4.trn"
+    c4.write_text(tourneykit.make_cyclic(4).to_trn())
+    try:
+        code = run([a.format(c4=c4) for a in argv])
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_negative_vertex_count_in_trn(tmp_path, capsys):
     path = tmp_path / "neg.trn"
     path.write_text("-3\n000000\n")
