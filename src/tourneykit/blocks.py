@@ -5,10 +5,11 @@ C(u, v) = {u, v} union {w : u -> w -> v} satisfies: the middle vertices
 induce a transitive tournament, and every vertex outside C sees all of C
 uniformly.  Blocks are the equivalence classes of this relation.
 
-The relation is proved transitive, but decompose() does not assume it:
-pairs are computed individually, each block is read off the homogeneous
-set of its least vertex, and every member's set must equal the block; a
-violation aborts loudly.
+decompose() reads the blocks off the twin pairs: u -> v is a twin pair, a
+two-vertex module, exactly when out[u] == out[v] | 1 << v.  The twin links
+form disjoint chains, which are the blocks (proof in notes/decisions.md,
+"Blocks are the chains of twin pairs").  Each chain is re-checked against
+C(u, v) of its two ends; a violation aborts loudly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class BlockRelationError(RuntimeError):
-    """The pairwise homogeneity relation failed to be an equivalence."""
+    """A chain of twin pairs is not the homogeneous set C(u, v) of its ends."""
 
 
 class SeparationError(ValueError):
@@ -85,36 +86,30 @@ def is_homogeneous_pair(t: Tournament, u: int, v: int) -> frozenset[int] | None:
 
 
 def decompose(t: Tournament) -> BlockDecomposition:
-    """Partition the vertices into homogeneous blocks.
+    """Partition the vertices into homogeneous blocks, the chains of twin
+    pairs.
 
-    Raises BlockRelationError if the pairwise relation turns out not to be
-    an equivalence (it provably is; this guards the implementation).
+    Raises BlockRelationError if a chain is not C(u, v) of its two ends
+    u and v (it provably is; this guards the implementation).
     """
-    n = t.n
     out = t.out_masks
-    hom = [1 << u for u in range(n)]  # the vertices homogeneous with u, u included
-    for u in range(n):
-        for v in range(u + 1, n):
-            if _homogeneous(out, u, v):
-                hom[u] |= 1 << v
-                hom[v] |= 1 << u
-    # each block is hom of its least vertex; under an equivalence every
-    # member's hom is that same mask, so any other mask is a violation
+    # u -> v is a module exactly when out[u] == out[v] | 1 << v; below[u]
+    # is that v, the twin u beats, or None
+    twin_of = {o | 1 << v: v for v, o in enumerate(out)}
+    below = [twin_of.get(o) for o in out]
     blocks = []
-    left = (1 << n) - 1
-    while left:
-        u = (left & -left).bit_length() - 1
-        block = hom[u]
-        members = [v for v in range(n) if block >> v & 1]
-        for v in members:
-            odd = hom[v] ^ block
-            if odd:
-                raise BlockRelationError(
-                    f"vertices {u} and {v} are homogeneous, but vertex "
-                    f"{(odd & -odd).bit_length() - 1} is so with only one of them"
-                )
-        blocks.append(frozenset(members))
-        left &= ~block
+    for head in set(range(t.n)).difference(below):
+        chain = [head]
+        while (v := below[chain[-1]]) is not None:
+            chain.append(v)
+        mask = sum(1 << v for v in chain)
+        if len(chain) > 1 and _homogeneous(out, head, chain[-1]) != mask:
+            raise BlockRelationError(
+                f"vertices {head} to {chain[-1]} are a chain of twin pairs, "
+                "but not the homogeneous set of its two ends"
+            )
+        blocks.append(frozenset(chain))
+    blocks.sort(key=min)
     reps = tuple(min(b) for b in blocks)
     quotient = t.induced(reps)
     sequence = tuple(sorted((len(b) for b in blocks), reverse=True))
@@ -149,7 +144,7 @@ def separate_blocks(
         raise SeparationError("Bj and Bl must be disjoint and non-empty")
     if not (bjs <= aset and bls <= aset):
         raise SeparationError("Bj and Bl must be subsets of A")
-    for v in bjs | bls:
+    for v in aset:
         t._check_vertex(v)
     out = t.out_masks
     j_mask = sum(1 << v for v in bjs)

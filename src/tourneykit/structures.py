@@ -95,34 +95,37 @@ def max_transitive(t: Tournament) -> StructureWitness:
 
     Chains are extended through the intersection of the out-sets of their
     members; candidate-count pruning cuts branches that cannot beat the
-    incumbent.  Ties resolve to the lexicographically least chain.
+    incumbent.  Ties resolve to the lexicographically least chain.  The
+    memoised search over candidate masks runs on an explicit stack (no
+    recursion), so a chain may be as long as the tournament.
     """
-    n = t.n
     out = t.out_masks
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def best_chain(avail: int) -> tuple[int, tuple[int, ...]]:
-        if avail == 0:
-            return (0, ())
-        cached = memo.get(avail)
-        if cached is not None:
-            return cached
-        best = (0, ())
-        m = avail
+    full = (1 << t.n) - 1
+    # memo[avail]: the least longest chain inside avail, with its length
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    # each frame: [avail, its untried first vertices, the best chain so far]
+    stack = [[full, full, (0, ())]]
+    while stack:
+        frame = stack[-1]
+        avail, m, best = frame
         while m:
             b = m & -m
-            m ^= b
             w = b.bit_length() - 1
-            if 1 + (avail & out[w]).bit_count() <= best[0]:
-                continue
-            ln, ch = best_chain(avail & out[w])
-            if 1 + ln > best[0]:
-                best = (1 + ln, (w,) + ch)
-        memo[avail] = best
-        return best
-
-    _, chain = best_chain((1 << n) - 1)
-    return StructureWitness("transitive", chain)
+            sub = avail & out[w]
+            if 1 + sub.bit_count() > best[0]:
+                got = memo.get(sub)
+                if got is None:
+                    break  # search sub first, then come back to w
+                if 1 + got[0] > best[0]:
+                    best = (1 + got[0], (w,) + got[1])
+            m ^= b
+        frame[1], frame[2] = m, best
+        if m:
+            stack.append([sub, sub, (0, ())])
+        else:
+            memo[avail] = best
+            stack.pop()
+    return StructureWitness("transitive", memo[full][1])
 
 
 def _embed(

@@ -17,6 +17,7 @@ pure function, so values can be shared freely between threads/processes.
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import lru_cache
 from itertools import combinations, compress, starmap
@@ -252,6 +253,10 @@ class Tournament:
         return [m.bit_count() for m in self.out_masks]
 
     def _check_vertex(self, v: int) -> None:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise ValueError(f"vertices must be integers, got {v!r}") from None
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
 
@@ -260,13 +265,12 @@ class Tournament:
     def induced(self, vertices: Iterable[int]) -> "Tournament":
         """Sub-tournament on the given vertices, relabelled 0..k-1 in
         increasing order of original index."""
-        vs = sorted(vertices)
-        if any(v != int(v) for v in vs):
-            raise ValueError("vertices must be integers")
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate vertices in subset")
+        vs = list(vertices)
         for v in vs:
             self._check_vertex(v)
+        if len(set(vs)) != len(vs):
+            raise ValueError("duplicate vertices in subset")
+        vs.sort()
         k = len(vs)
         out = self.out_masks
         rows = [0] * k

@@ -42,7 +42,9 @@ structure kind against its definition (``brute_is_chain``,
 ``brute_is_type1``, ``brute_is_type2``, or an induced embedding), the
 reference for ``StructureWitness.validate``.  ``reference_from_beats``
 packs a predicate's pair bits in a Python double loop, the reference for
-``Tournament.from_beats``.
+``Tournament.from_beats``.  ``reference_blocks`` groups the vertices into
+the classes of the homogeneous-pair relation, each C(u, v) tested from its
+definition, the reference for ``decompose``'s chains of twin pairs.
 """
 
 from __future__ import annotations
@@ -283,6 +285,41 @@ def brute_strong_components(t: Tournament) -> list[int]:
         key = sum(1 << u for u in range(t.n) if reach[v] >> u & 1 and reach[u] >> v & 1)
         classes[key] = reach[v].bit_count()
     return sorted(classes, key=lambda c: -classes[c])
+
+
+def reference_blocks(t: Tournament) -> tuple[frozenset[int], ...]:
+    """The classes of the homogeneous-pair relation, by least vertex.
+
+    For u -> v, C(u, v) = {u, v} + {w : u -> w -> v}; the pair is
+    homogeneous when no three vertices of the middle form a cyclic
+    triangle and every vertex outside C beats all of C or loses to all
+    of it.  Raises AssertionError if the relation is not an equivalence.
+    """
+    n = t.n
+    beat = [[u != v and t.beats(u, v) for v in range(n)] for u in range(n)]
+
+    def homogeneous(u: int, v: int) -> bool:
+        if not beat[u][v]:
+            u, v = v, u
+        mid = [w for w in range(n) if beat[u][w] and beat[w][v]]
+        if any(beat[a][b] == beat[b][c] == beat[c][a] for a, b, c in combinations(mid, 3)):
+            return False
+        c = [u, v, *mid]
+        return all(len({beat[x][y] for y in c}) == 1 for x in range(n) if x not in c)
+
+    related = [{u} for u in range(n)]
+    for u, v in combinations(range(n), 2):
+        if homogeneous(u, v):
+            related[u].add(v)
+            related[v].add(u)
+    classes = []
+    for u in range(n):
+        if any(u in c for c in classes):
+            continue
+        if any(related[v] != related[u] for v in related[u]):
+            raise AssertionError(f"the relation is not an equivalence at vertex {u}")
+        classes.append(frozenset(related[u]))
+    return tuple(classes)
 
 
 def reference_substitute(quotient: Tournament, parts) -> Tournament:

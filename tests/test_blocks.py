@@ -1,14 +1,17 @@
 """Homogeneous pairs, decomposition, separation, and the exponent estimate."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_labelled, reference_substitute
+from oracles import all_labelled, reference_blocks, reference_substitute
 from tourneykit import (
+    BlockDecomposition,
     BlockRelationError,
+    FlagTriple,
     SeparationError,
     Tournament,
     block_count,
@@ -16,16 +19,19 @@ from tourneykit import (
     estimate_k,
     hereditary_closure,
     is_homogeneous_pair,
+    make_M,
     make_T,
     make_cyclic,
     make_cyclic_blowup,
+    make_moon_tower,
+    make_type1,
     pair_count,
     random_tournament,
     separate_blocks,
     substitute,
 )
 from tourneykit import blocks
-from tourneykit.verify import t_family_table
+from tourneykit.verify import composition_seqs, t_family_table
 
 
 def tournaments(max_n=8):
@@ -82,7 +88,7 @@ class TestDecompose:
         assert decompose(make_cyclic(4)).sequence == (2, 1, 1)
 
     def test_relation_transitive_exhaustively(self, classes_by_n):
-        # decompose() raises if union-find ever outruns the pairwise relation
+        # decompose() raises if a chain of twin pairs is not C(u, v) of its ends
         for n in range(1, 7):
             for t in classes_by_n[n]:
                 decompose(t)
@@ -125,13 +131,72 @@ class TestDecompose:
                 assert t.induced(sorted(b)).is_transitive()
 
     def test_a_relation_that_is_not_transitive_raises(self, monkeypatch):
-        # 0 ~ 1 and 1 ~ 2 but not 0 ~ 2: the re-check must catch it
+        # 0 ~ 1 and 1 ~ 2 but not 0 ~ 2: 0 -> 1 -> 2 is a chain of twin
+        # pairs whose ends the faulty kernel calls not homogeneous, and the
+        # re-check must catch it
         chain = ({0, 1}, {1, 2})
         monkeypatch.setattr(
             blocks, "_homogeneous", lambda out, u, v: 1 if {u, v} in chain else 0
         )
         with pytest.raises(BlockRelationError):
             decompose(transitive(3))
+
+
+def _assert_reference_blocks(t):
+    # blocks, representatives, quotient and sequence, each rebuilt from
+    # the oracle's classes
+    blocks = reference_blocks(t)
+    reps = tuple(min(b) for b in blocks)
+    quotient = Tournament.from_beats(len(reps), lambda i, j: t.beats(reps[i], reps[j]))
+    sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+    assert decompose(t) == BlockDecomposition(blocks, reps, quotient, sizes), t
+
+
+def _relabelled(t, rng):
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    return t.relabel(perm)
+
+
+class TestDecomposeEqualsReference:
+    def test_every_labelled_tournament(self):
+        for n in range(7):
+            for t in all_labelled(n):
+                _assert_reference_blocks(t)
+
+    def test_every_class(self, all_classes_8):
+        for n in all_classes_8.levels():
+            for t in all_classes_8.members(n):
+                _assert_reference_blocks(t)
+
+    def test_relabelled_stacked_family(self):
+        rng = random.Random(11)
+        for seq in composition_seqs(14):
+            _assert_reference_blocks(_relabelled(make_T(seq), rng))
+
+    def test_relabelled_blowups(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            sizes = [rng.randrange(0, 9) for _ in range(rng.randrange(1, 7))]
+            _assert_reference_blocks(_relabelled(make_cyclic_blowup(sizes), rng))
+
+    def test_random_tournaments(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            _assert_reference_blocks(random_tournament(rng.randrange(1, 65), rng))
+        for n in (96, 128):
+            _assert_reference_blocks(random_tournament(n, rng))
+
+    def test_flag_moon_and_type1_families(self):
+        rng = random.Random(14)
+        for flags in product((0, 1), repeat=3):
+            for n in range(1, 6):
+                _assert_reference_blocks(_relabelled(make_M(FlagTriple(*flags), n), rng))
+        for level in range(1, 4):
+            _assert_reference_blocks(_relabelled(make_moon_tower(level), rng))
+        for k in range(1, 8):
+            for flavor in (0, 1):
+                _assert_reference_blocks(_relabelled(make_type1(k, flavor), rng))
 
 
 def _assert_round_trip(t):
@@ -193,6 +258,11 @@ class TestSeparateBlocks:
         grown = separate_blocks(t, a, bj, bl)
         assert len(grown - a) == 1
         _assert_separated(t, grown, bj, bl)
+
+    def test_every_vertex_of_a_is_checked(self):
+        t = make_cyclic_blowup((3, 3, 1))
+        with pytest.raises(ValueError, match="vertex 99 out of range"):
+            separate_blocks(t, [0, 1, 2, 3, 4, 5, 99], [0, 1, 2], [3, 4, 5])
 
     def test_precondition_violation(self):
         with pytest.raises(SeparationError):

@@ -66,6 +66,29 @@ class TestMaxTransitive:
             )
             assert len(max_transitive(t).assignment) == best
 
+    def test_least_longest_chain_on_every_class(self, classes_by_n):
+        for n in range(1, 8):
+            for t in classes_by_n[n]:
+                assert max_transitive(t).assignment == _least_longest_chain(t), t
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        assert max_transitive(transitive(1500)).assignment == tuple(range(1500))
+
+
+def _least_longest_chain(t):
+    """Scan every vertex subset for a transitive one and return the least
+    beat-ordered tuple among the largest."""
+    for r in range(t.n, 0, -1):
+        chains = [
+            tuple(sorted(sub, key=lambda v: -sum(t.beats(v, w) for w in sub if w != v)))
+            for sub in combinations(range(t.n), r)
+            if all(t.beats(a, c) or not (t.beats(a, b) and t.beats(b, c))
+                   for a, b, c in permutations(sub, 3))
+        ]
+        if chains:
+            return min(chains)
+    return ()
+
 
 class TestDetectType1:
     def test_self_detection(self):

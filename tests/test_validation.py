@@ -16,6 +16,7 @@ from tourneykit import (
     detect_type2,
     fstar,
     hereditary_closure,
+    is_homogeneous_pair,
     make_cyclic,
     make_cyclic_blowup,
     make_M_general,
@@ -104,6 +105,13 @@ CASES = {
         SeparationError,
         "Bj and Bl must be subsets of A",
     ),
+    "separate-a-outside-host": (
+        lambda: separate_blocks(
+            make_cyclic_blowup((3, 3, 1)), [0, 1, 2, 3, 4, 5, 99], [0, 1, 2], [3, 4, 5]
+        ),
+        ValueError,
+        "vertex 99 out of range for n=7",
+    ),
     "separate-cross": (
         lambda: separate_blocks(T5, range(5), (3,), (1,)),
         SeparationError,
@@ -133,6 +141,27 @@ CASES = {
         lambda: T5.induced([0.5]),
         ValueError,
         "vertices must be integers",
+    ),
+    # operator.index refuses a float even when it is integral
+    "beats-float": (
+        lambda: T5.beats(0, 1.0),
+        ValueError,
+        "vertices must be integers, got 1.0",
+    ),
+    "out-degree-float": (
+        lambda: T5.out_degree(1.0),
+        ValueError,
+        "vertices must be integers, got 1.0",
+    ),
+    "induced-float": (
+        lambda: T5.induced([0, 1.0]),
+        ValueError,
+        "vertices must be integers, got 1.0",
+    ),
+    "homogeneous-float": (
+        lambda: is_homogeneous_pair(T5, 0, 1.0),
+        ValueError,
+        "vertices must be integers, got 1.0",
     ),
 }
 
