@@ -304,8 +304,8 @@ def reference_blocks(t: Tournament) -> tuple[frozenset[int], ...]:
         mid = [w for w in range(n) if beat[u][w] and beat[w][v]]
         if any(beat[a][b] == beat[b][c] == beat[c][a] for a, b, c in combinations(mid, 3)):
             return False
-        c = [u, v, *mid]
-        return all(len({beat[x][y] for y in c}) == 1 for x in range(n) if x not in c)
+        cuv = [u, v, *mid]
+        return all(len({beat[x][y] for y in cuv}) == 1 for x in range(n) if x not in cuv)
 
     related = [{u} for u in range(n)]
     for u, v in combinations(range(n), 2):

@@ -259,11 +259,6 @@ class TestSeparateBlocks:
         assert len(grown - a) == 1
         _assert_separated(t, grown, bj, bl)
 
-    def test_every_vertex_of_a_is_checked(self):
-        t = make_cyclic_blowup((3, 3, 1))
-        with pytest.raises(ValueError, match="vertex 99 out of range"):
-            separate_blocks(t, [0, 1, 2, 3, 4, 5, 99], [0, 1, 2], [3, 4, 5])
-
     def test_precondition_violation(self):
         with pytest.raises(SeparationError):
             separate_blocks(
