@@ -44,17 +44,9 @@ from .speed import (
     SpeedTable,
     all_classes,
     avoidance_closure,
-    check_olarge,
     check_supermultiplicative,
-    count_cyclic_subs,
-    count_sub_L,
-    count_sub_L_scan,
-    count_tn_lower,
     distinct_sub_classes,
-    fstar,
     hereditary_closure,
-    property_slope,
-    type1_tn_classes,
 )
 from .structures import (
     StructureWitness,
@@ -73,6 +65,16 @@ from .tournament import (
     random_tournament,
     read_edge_list,
     substitute,
+)
+from .verify import (
+    check_olarge,
+    count_cyclic_subs,
+    count_sub_L,
+    count_sub_L_scan,
+    count_tn_lower,
+    fstar,
+    property_slope,
+    type1_tn_classes,
 )
 
 __version__ = "0.1.0"

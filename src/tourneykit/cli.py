@@ -30,14 +30,7 @@ from .families import (
     make_moon_tower,
     make_type1,
 )
-from .speed import (
-    DEFAULT_MEM_BUDGET,
-    avoidance_closure,
-    count_cyclic_subs,
-    count_sub_L,
-    count_sub_L_scan,
-    hereditary_closure,
-)
+from .speed import DEFAULT_MEM_BUDGET, avoidance_closure, hereditary_closure
 from .structures import detect_type1, detect_type2
 from .tournament import InfeasibleSizeError, Tournament, random_tournament
 
@@ -195,7 +188,7 @@ def _subcount(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        result = {"n": args.n, "count": count_cyclic_subs(args.n)}
+        result = {"n": args.n, "count": verify_mod.count_cyclic_subs(args.n)}
     elif args.flags is None:
         print("subcount needs --flags or --cyclic", file=sys.stderr)
         return EXIT_USAGE
@@ -206,7 +199,7 @@ def _subcount(args) -> int:
         flags = tuple(_csv_ints(args.flags))
         result = {"n": args.n, "flags": list(flags)}
         if args.scan is not None:
-            values, stable = count_sub_L_scan(flags, args.n, m_max=args.scan)
+            values, stable = verify_mod.count_sub_L_scan(flags, args.n, m_max=args.scan)
             if args.csv:
                 print("m,count")
                 for m, c in values:
@@ -216,7 +209,7 @@ def _subcount(args) -> int:
             result["stabilized_m"] = stable
         else:
             result["m"] = args.m
-            result["count"] = count_sub_L(flags, args.n, args.m)
+            result["count"] = verify_mod.count_sub_L(flags, args.n, args.m)
     _emit(result)
     return EXIT_OK
 

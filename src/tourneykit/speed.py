@@ -1,5 +1,6 @@
-"""Hereditary-closure enumeration and unlabelled sub-tournament counting.
+"""The enumeration engine: speed tables, closures, sub-tournament classes.
 
+verify holds the paper's counts and bounds built on it, beside their cases.
 Two enumeration strategies back the speed tables.  Both keep levels as
 canonical codes, and so does a SpeedTable: only its forms are lines.
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import ceil, comb, log
+from math import comb
 from typing import Iterable, Sequence
 
 from .canon import (
@@ -62,7 +63,6 @@ from .canon import (
     canonical_code_and_automorphisms,
     orbit_mask,
 )
-from .families import FlagTriple, make_M, make_TS, make_cyclic
 from .tournament import (
     InfeasibleSizeError,
     Tournament,
@@ -236,10 +236,11 @@ def hereditary_closure(
     return table
 
 
-def _rejected_masks(base: Tournament, forbidden: dict[int, frozenset[int]]) -> int:
-    """Which of the 2^k one-vertex extensions of a k-vertex base contain a
-    forbidden pattern (canonical codes by size) through the new vertex k:
-    bit m of the result is set when extension m does.
+def _rejected_masks(out: Sequence[int], forbidden: dict[int, frozenset[int]]) -> int:
+    """Which of the 2^k one-vertex extensions of a k-vertex base (its
+    out-masks) contain a forbidden pattern (canonical codes by size)
+    through the new vertex k: bit m of the result is set when extension m
+    does.
 
     Bit i of an extension mask is set when k -> i.  For a vertex set S of
     the base, the sub-tournament on {k} + S, with k put first, is fixed by
@@ -249,14 +250,13 @@ def _rejected_masks(base: Tournament, forbidden: dict[int, frozenset[int]]) -> i
     masks whose bits on S spell r: an AND of bit columns, col[v] being the
     set of masks with bit v set.
     """
-    k = base.n
+    k = len(out)
     every = (1 << (1 << k)) - 1
     # runs of 2^v clear then 2^v set bits, repeated
     col = [
         every // ((1 << (2 << v)) - 1) * (((1 << (1 << v)) - 1) << (1 << v))
         for v in range(k)
     ]
-    out = base.out_masks
     rejected = 0
     for size, forms in forbidden.items():
         last = size - 1
@@ -281,10 +281,10 @@ def _rejected_masks(base: Tournament, forbidden: dict[int, frozenset[int]]) -> i
     return rejected
 
 
-def _least_invariant_masks(base: Tournament, masks: Iterable[int]) -> list[int]:
-    """The given one-vertex extension masks of a k-vertex base that make
-    the new vertex k lex-least under (out-degree, sum of its
-    out-neighbours' out-degrees), ties included.
+def _least_invariant_masks(out: Sequence[int], masks: Iterable[int]) -> list[int]:
+    """The given one-vertex extension masks of a k-vertex base (its
+    out-masks) that make the new vertex k lex-least under (out-degree, sum
+    of its out-neighbours' out-degrees), ties included.
 
     Bit i of a mask m is set when k -> i: k has out-degree D = popcount(m)
     and base vertex i has deg_base(i) + 1 - bit_i(m).  Base vertex i falls
@@ -295,8 +295,7 @@ def _least_invariant_masks(base: Tournament, masks: Iterable[int]) -> list[int]:
     the set bits j.  A tied vertex's sum is its sum at mask 0, less one for
     each out-neighbour j with bit j set, plus D when it beats k.
     """
-    k = base.n
-    out = base.out_masks
+    k = len(out)
     deg = [o.bit_count() for o in out]
     at = [0] * (k + 1)  # at[d]: the base vertices of out-degree d; at[k] is empty
     for i, d in enumerate(deg):
@@ -350,11 +349,10 @@ def avoidance_closure(
     for k in range(1, n_max):
         nxt: set[int] = set()
         for code in levels[k]:
-            base = Tournament(k, code)
+            out = bits_to_out_masks(k, code)
             # char m is bit m of the rejected set
-            flags = format(_rejected_masks(base, forb), f"0{1 << k}b")[::-1]
+            flags = format(_rejected_masks(out, forb), f"0{1 << k}b")[::-1]
             survivors = [m for m, c in enumerate(flags) if c == "0"]
-            out = base.out_masks
             for mask in range(1 << k):
                 # the result is not read: perfbench's traced run, this loop's
                 # only reader, checks from_beats calls against the extensions
@@ -367,7 +365,7 @@ def avoidance_closure(
                     ),
                 )
             new = 1 << k
-            for m in _least_invariant_masks(base, survivors):  # ascending
+            for m in _least_invariant_masks(out, survivors):  # ascending
                 # base vertex i beats k unless bit i of m is set
                 ext = [o if m >> i & 1 else o | new for i, o in enumerate(out)]
                 ext.append(m)
@@ -381,18 +379,6 @@ def avoidance_closure(
         "avoid " + ",".join(sorted(f"{k}:{bits_to_line(k, c)}" for k, c in patterns))
     )
     return SpeedTable(seed=desc, codes={n: c for n, c in levels.items() if n <= n_max})
-
-
-def fstar(n: int) -> int:
-    """Fibonacci-type sequence: 1, 1, 1 then f(n) = f(n-1) + f(n-3)."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    a, b, c = 1, 1, 1  # f(0), f(1), f(2)
-    if n < 3:
-        return 1
-    for _ in range(n - 2):
-        a, b, c = b, c, c + a
-    return c
 
 
 def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
@@ -434,122 +420,6 @@ def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
     codes_seen = {code << (k - 1) | r for _, code, rel in states for r in rel}
     classes = {_canon_code(k, c) for c in codes_seen}
     return tuple(sorted(bits_to_line(k, c) for c in classes))
-
-
-def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
-    """Number of distinct n-vertex sub-tournaments of the 3m-vertex layered
-    flag tournament."""
-    if n < 0:
-        raise ValueError(f"sub-tournament size must be non-negative, got {n}")
-    if 3 * m < n:
-        raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
-    return len(distinct_sub_classes(make_M(flags, m), n))
-
-
-def count_sub_L_scan(
-    flags: FlagTriple | Sequence[int],
-    n: int,
-    *,
-    m_max: int = 12,
-) -> tuple[list[tuple[int, int]], int | None]:
-    """Counts for m = ceil(n/3).., stopping at the first m whose count
-    repeats the previous one (the stabilization point), or at m_max.
-
-    Returns (list of (m, count), stabilized_m or None).  Counts are
-    checked to be non-decreasing; the hosts nest, so a decrease would be
-    a bug.  An m_max below max(1, ceil(n/3)) leaves no host: ValueError.
-    """
-    m_min = max(1, ceil(n / 3))
-    if m_max < m_min:
-        raise ValueError(
-            f"m_max = {m_max} is below the first host size "
-            f"max(1, ceil(n/3)) = {m_min} for n = {n}: no host to count"
-        )
-    values: list[tuple[int, int]] = []
-    prev: int | None = None
-    for m in range(m_min, m_max + 1):
-        c = count_sub_L(flags, n, m)
-        if prev is not None and c < prev:
-            raise AssertionError(
-                f"sub-tournament count dropped from {prev} to {c} at m={m}"
-            )
-        values.append((m, c))
-        if prev is not None and c == prev:
-            return values, m
-        prev = c
-    return values, None
-
-
-def count_cyclic_subs(n: int) -> int:
-    """Distinct n-vertex sub-tournaments of the cyclic tournament on 2n."""
-    return len(distinct_sub_classes(make_cyclic(2 * n), n))
-
-
-def count_tn_lower(n: int) -> int:
-    """Closed-form lower bound 2^(n-1) - 2*C(n-1, 2) - n."""
-    return 2 ** (n - 1) - 2 * comb(n - 1, 2) - n
-
-
-def _i1zero_lower(n: int) -> int:
-    """Lower bound (ii), 2^(n-3) - 2, for flags with I1 = 0 (float if n < 3)."""
-    return 2 ** (n - 3) - 2
-
-
-def _cyclic_lower(n: int) -> int:
-    """Lower bound (iii), ceil(2^(n-1)/n), for the cyclic host's classes."""
-    return ceil(2 ** (n - 1) / n)
-
-
-def type1_tn_classes(n: int) -> int:
-    """Distinct classes among the chain-plus-y sub-tournaments carved out
-    of an n-structure of flavor A (one x per chain pair, odd pick for
-    positions in S).
-
-    y beats the odd picks and loses to the even ones, and the picks keep
-    chain order, so the sub-tournament for S is make_TS(n, S) itself.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return len({
-        canonical_code(n, make_TS(n, [i for i in range(1, n) if bits >> (i - 1) & 1]).bits)
-        for bits in range(1 << (n - 1))
-    })
-
-
-@dataclass(frozen=True)
-class InequalityCase:
-    label: str
-    n: int
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def check_olarge(n_max: int = 30) -> list[InequalityCase]:
-    """The three counting lower bounds against the Fibonacci-type sequence.
-
-    (i) and (ii) are checked for 6 <= n <= n_max, (iii) for every
-    1 <= n <= n_max except n = 4 (the documented exception); the left
-    sides also dominate the recurrence step f(n+1) >= f(n) + f(n-2).
-    """
-    cases: list[InequalityCase] = []
-    f1, f2, f3 = count_tn_lower, _i1zero_lower, _cyclic_lower
-    for n in range(6, n_max + 1):
-        cases.append(InequalityCase("i", n, f1(n), fstar(n), f1(n) >= fstar(n)))
-        strict = 2 ** (n - 2) > f2(n)
-        cases.append(
-            InequalityCase("ii", n, f2(n), fstar(n), strict and f2(n) >= fstar(n))
-        )
-    for n in range(1, n_max + 1):
-        if n == 4:
-            continue
-        cases.append(InequalityCase("iii", n, f3(n), fstar(n), f3(n) >= fstar(n)))
-    for n in range(6, n_max):
-        for label, f in (("i-rec", f1), ("ii-rec", f2), ("iii-rec", f3)):
-            lhs = f(n + 1)
-            rhs = f(n) + f(n - 2)
-            cases.append(InequalityCase(label, n + 1, lhs, rhs, lhs >= rhs))
-    return cases
 
 
 @dataclass
@@ -604,17 +474,3 @@ def all_classes(n_max: int) -> SpeedTable:
     """Every unlabelled tournament up to n_max (extension BFS, no patterns
     forbidden)."""
     return avoidance_closure([], n_max, seed_description="all tournaments")
-
-
-def property_slope(table: SpeedTable, n_lo: int, n_hi: int) -> float:
-    """Least-squares log-log growth slope of the non-zero level counts; it
-    needs two of them (ValueError otherwise)."""
-    from statistics import linear_regression  # pulls in decimal: imported on use
-
-    ns = [n for n in range(n_lo, n_hi + 1) if table.count(n) > 0]
-    if len(ns) < 2:
-        raise ValueError(
-            f"levels {n_lo}..{n_hi} hold {len(ns)} non-zero counts; a slope needs two"
-        )
-    fit = linear_regression([log(n) for n in ns], [log(table.count(n)) for n in ns])
-    return fit.slope

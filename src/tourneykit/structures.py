@@ -118,6 +118,9 @@ def max_transitive(t: Tournament) -> StructureWitness:
                     break  # search sub first, then come back to w
                 if 1 + got[0] > best[0]:
                     best = (1 + got[0], (w,) + got[1])
+                    if best[0] == avail.bit_count():  # no later w does better
+                        m = 0
+                        break
             m ^= b
         frame[1], frame[2] = m, best
         if m:

@@ -1,5 +1,9 @@
-"""Executable verification suite: each case id replays one finite-scale
-counting or structure claim and reports observed vs. required values.
+"""The paper's counts, bounds and verification cases.
+
+The counts (fstar; sub-tournaments of the layered hosts M_I(n), of the
+cyclic hosts and of type-1 structures) and the bounds (i)-(iii) run on
+speed's engine.  Each case id replays one finite-scale counting or
+structure claim and reports observed vs. required values.
 
 Reports are deterministic and carry no timings, so two runs of the same
 case produce byte-identical output.
@@ -12,14 +16,16 @@ import json
 import operator
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from math import comb
-from typing import Callable, Iterator
+from math import ceil, comb, log
+from typing import Callable, Iterator, Sequence
 
 from .blocks import block_count
 from .canon import automorphism_order, canonical_code
 from .families import (
+    FlagTriple,
     make_M,
     make_T,
+    make_TS,
     make_cyclic,
     make_cyclic_blowup,
     make_moon_tower,
@@ -27,18 +33,10 @@ from .families import (
 )
 from .speed import (
     SpeedTable,
-    _cyclic_lower,
-    _i1zero_lower,
     avoidance_closure,
-    check_olarge,
     check_supermultiplicative,
-    count_cyclic_subs,
-    count_sub_L_scan,
-    count_tn_lower,
-    fstar,
+    distinct_sub_classes,
     hereditary_closure,
-    property_slope,
-    type1_tn_classes,
 )
 from .structures import dn_membership
 
@@ -83,6 +81,134 @@ class VerifyReport:
             sort_keys=True,
             indent=2,
         )
+
+
+def fstar(n: int) -> int:
+    """Fibonacci-type sequence: 1, 1, 1 then f(n) = f(n-1) + f(n-3)."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    a, b, c = 1, 1, 1  # f(0), f(1), f(2)
+    if n < 3:
+        return 1
+    for _ in range(n - 2):
+        a, b, c = b, c, c + a
+    return c
+
+
+def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
+    """Number of distinct n-vertex sub-tournaments of the 3m-vertex layered
+    flag tournament."""
+    if n < 0:
+        raise ValueError(f"sub-tournament size must be non-negative, got {n}")
+    if 3 * m < n:
+        raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
+    return len(distinct_sub_classes(make_M(flags, m), n))
+
+
+def count_sub_L_scan(
+    flags: FlagTriple | Sequence[int],
+    n: int,
+    *,
+    m_max: int = 12,
+) -> tuple[list[tuple[int, int]], int | None]:
+    """Counts for m = ceil(n/3).., stopping at the first m whose count
+    repeats the previous one (the stabilization point), or at m_max.
+
+    Returns (list of (m, count), stabilized_m or None).  Counts are
+    checked to be non-decreasing; the hosts nest, so a decrease would be
+    a bug.  An m_max below max(1, ceil(n/3)) leaves no host: ValueError.
+    """
+    m_min = max(1, ceil(n / 3))
+    if m_max < m_min:
+        raise ValueError(
+            f"m_max = {m_max} is below the first host size "
+            f"max(1, ceil(n/3)) = {m_min} for n = {n}: no host to count"
+        )
+    values: list[tuple[int, int]] = []
+    prev: int | None = None
+    for m in range(m_min, m_max + 1):
+        c = count_sub_L(flags, n, m)
+        if prev is not None and c < prev:
+            raise AssertionError(
+                f"sub-tournament count dropped from {prev} to {c} at m={m}"
+            )
+        values.append((m, c))
+        if prev is not None and c == prev:
+            return values, m
+        prev = c
+    return values, None
+
+
+def count_cyclic_subs(n: int) -> int:
+    """Distinct n-vertex sub-tournaments of the cyclic tournament on 2n."""
+    return len(distinct_sub_classes(make_cyclic(2 * n), n))
+
+
+def count_tn_lower(n: int) -> int:
+    """Closed-form lower bound 2^(n-1) - 2*C(n-1, 2) - n."""
+    return 2 ** (n - 1) - 2 * comb(n - 1, 2) - n
+
+
+def _i1zero_lower(n: int) -> int:
+    """Lower bound (ii), 2^(n-3) - 2, for flags with I1 = 0 (float if n < 3)."""
+    return 2 ** (n - 3) - 2
+
+
+def _cyclic_lower(n: int) -> int:
+    """Lower bound (iii), ceil(2^(n-1)/n), for the cyclic host's classes."""
+    return ceil(2 ** (n - 1) / n)
+
+
+def type1_tn_classes(n: int) -> int:
+    """Distinct classes among the chain-plus-y sub-tournaments carved out
+    of an n-structure of flavor A (one x per chain pair, odd pick for
+    positions in S).
+
+    y beats the odd picks and loses to the even ones, and the picks keep
+    chain order, so the sub-tournament for S is make_TS(n, S) itself.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return len({
+        canonical_code(n, make_TS(n, [i for i in range(1, n) if bits >> (i - 1) & 1]).bits)
+        for bits in range(1 << (n - 1))
+    })
+
+
+@dataclass(frozen=True)
+class InequalityCase:
+    label: str
+    n: int
+    lhs: int
+    rhs: int
+    holds: bool
+
+
+def check_olarge(n_max: int = 30) -> list[InequalityCase]:
+    """The three counting lower bounds against the Fibonacci-type sequence.
+
+    (i) and (ii) are checked for 6 <= n <= n_max, (iii) for every
+    1 <= n <= n_max except n = 4 (the documented exception); the left
+    sides also dominate the recurrence step f(n+1) >= f(n) + f(n-2).
+    """
+    cases: list[InequalityCase] = []
+    f1, f2, f3 = count_tn_lower, _i1zero_lower, _cyclic_lower
+    for n in range(6, n_max + 1):
+        cases.append(InequalityCase("i", n, f1(n), fstar(n), f1(n) >= fstar(n)))
+        strict = 2 ** (n - 2) > f2(n)
+        cases.append(
+            InequalityCase("ii", n, f2(n), fstar(n), strict and f2(n) >= fstar(n))
+        )
+    for n in range(1, n_max + 1):
+        if n == 4:
+            continue
+        cases.append(InequalityCase("iii", n, f3(n), fstar(n), f3(n) >= fstar(n)))
+    for n in range(6, n_max):
+        for label, f in (("i-rec", f1), ("ii-rec", f2), ("iii-rec", f3)):
+            lhs = f(n + 1)
+            rhs = f(n) + f(n - 2)
+            cases.append(InequalityCase(label, n + 1, lhs, rhs, lhs >= rhs))
+    return cases
 
 
 def composition_seqs(total_max: int) -> Iterator[tuple[int, ...]]:
@@ -335,6 +461,20 @@ def verify_type1_count(n_max: int = 9) -> VerifyReport:
         need = count_tn_lower(n)
         cases.append(_case(f"n={n}", got, ">=", need, "2^(n-1) - 2*C(n-1,2) - n"))
     return VerifyReport("type1-count", {"n_max": n_max}, cases)
+
+
+def property_slope(table: SpeedTable, n_lo: int, n_hi: int) -> float:
+    """Least-squares log-log growth slope of the non-zero level counts; it
+    needs two of them (ValueError otherwise)."""
+    from statistics import linear_regression  # pulls in decimal: imported on use
+
+    ns = [n for n in range(n_lo, n_hi + 1) if table.count(n) > 0]
+    if len(ns) < 2:
+        raise ValueError(
+            f"levels {n_lo}..{n_hi} hold {len(ns)} non-zero counts; a slope needs two"
+        )
+    fit = linear_regression([log(n) for n in ns], [log(table.count(n)) for n in ns])
+    return fit.slope
 
 
 def theorem2_slope(k: int) -> tuple[float, SpeedTable]:

@@ -627,7 +627,7 @@ def unfiltered_avoidance_forms(
         nxt = set()
         for line in sorted(levels[k]):
             base = Tournament(k, line_to_bits(line))
-            rejected = _rejected_masks(base, forb_frozen)
+            rejected = _rejected_masks(base.out_masks, forb_frozen)
             for mask in range(1 << k):
                 if not rejected >> mask & 1:
                     nxt.add(canonical_form(extension(base, mask)).bits)
@@ -693,7 +693,8 @@ def cycle_index_tournament_count(n: int) -> int:
         for r, jr in cycles.items():
             z *= r**jr * factorial(jr)
         total += Fraction(2**e, z)
-    assert total.denominator == 1, total
+    if total.denominator != 1:
+        raise ArithmeticError(f"Burnside sum {total} is not an integer")
     return int(total)
 
 

@@ -98,7 +98,7 @@ class TestPerBaseTest:
             forb = by_size(patterns)
             for k in range(1, 6):
                 for base in classes_by_n[k]:
-                    got = _rejected_masks(base, forb)
+                    got = _rejected_masks(base.out_masks, forb)
                     got = [bool(got >> m & 1) for m in range(1 << k)]
                     assert got == reference_rejected(base, forb), (patterns, base)
 
@@ -111,7 +111,7 @@ class TestPerBaseTest:
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_on_labelled_bases(self, base, patterns):
         forb = by_size(patterns)
-        got = _rejected_masks(base, forb)
+        got = _rejected_masks(base.out_masks, forb)
         got = [bool(got >> m & 1) for m in range(1 << base.n)]
         assert got == reference_rejected(base, forb)
 
@@ -175,7 +175,7 @@ class TestLeastInvariantFilter:
     def test_keeps_exactly_the_lex_least_extensions(self, classes_by_n):
         for k in range(1, 6):
             for base in classes_by_n[k] + [random_tournament(k, k)]:
-                got = _least_invariant_masks(base, range(1 << k))
+                got = _least_invariant_masks(base.out_masks, range(1 << k))
                 got = [m in got for m in range(1 << k)]
                 assert got == lex_least_invariant(base), base
 
@@ -186,7 +186,7 @@ class TestLeastInvariantFilter:
     )
     @settings(max_examples=20, deadline=None)
     def test_keeps_exactly_the_lex_least_extensions_on_random_bases(self, base):
-        got = _least_invariant_masks(base, range(1 << base.n))
+        got = _least_invariant_masks(base.out_masks, range(1 << base.n))
         got = [m in got for m in range(1 << base.n)]
         assert got == lex_least_invariant(base)
 
@@ -210,9 +210,9 @@ class TestSurvivorSearch:
     ):
         calls = []  # (base, its kept masks, the out-masks searched)
 
-        def least(base, masks):
-            kept = _least_invariant_masks(base, masks)
-            calls.append((base, kept, []))
+        def least(out, masks):
+            kept = _least_invariant_masks(out, masks)
+            calls.append((Tournament._from_out_masks(out), kept, []))
             return kept
 
         def search(out, known=()):
@@ -232,7 +232,7 @@ class TestSurvivorSearch:
                 m for m in range(1 << base.n)
                 if avoids_through_last(extension(base, m), forb)
             ]
-            assert kept == _least_invariant_masks(base, survivors), base
+            assert kept == _least_invariant_masks(base.out_masks, survivors), base
             assert searched == [pair_out_masks(extension(base, m)) for m in kept], base
 
     def test_packed_bits_are_decoded_once_per_base(self, monkeypatch):

@@ -487,3 +487,46 @@ class TestDichotomyAtDeskScale:
     def test_cyclic_n4_exception(self):
         table = hereditary_closure([make_cyclic(m) for m in range(1, 17)], 4)
         assert table.count(4) == 2 < fstar(4)
+
+
+class TestEngineBoundary:
+    """speed is the enumeration engine; the paper's counts and bounds live
+    in verify, beside the cases that check them."""
+
+    MOVED = (
+        "fstar", "count_sub_L", "count_sub_L_scan", "count_cyclic_subs",
+        "count_tn_lower", "_i1zero_lower", "_cyclic_lower", "type1_tn_classes",
+        "InequalityCase", "check_olarge", "property_slope",
+    )
+
+    def test_speed_binds_nothing_from_families_or_verify(self):
+        from tourneykit import speed
+
+        homes = {"tourneykit.families", "tourneykit.verify"}
+        borrowed = sorted(
+            name
+            for name, value in vars(speed).items()
+            if getattr(value, "__module__", None) in homes
+            or getattr(value, "__name__", None) in homes
+        )
+        assert borrowed == []
+
+    def test_the_counts_are_verify_s(self):
+        from tourneykit import speed, verify
+
+        assert [n for n in self.MOVED if hasattr(speed, n)] == []
+        assert [n for n in self.MOVED if not hasattr(verify, n)] == []
+
+    def test_the_engine_keeps_the_names_perfbench_reads(self):
+        from tourneykit import speed
+
+        for name in (
+            "hereditary_closure",
+            "avoidance_closure",
+            "check_supermultiplicative",
+            "SupermultReport",
+            "all_classes",
+            "distinct_sub_classes",
+        ):
+            assert callable(getattr(speed, name)), name
+        assert callable(speed.SpeedTable.is_downward_closed)

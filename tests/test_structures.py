@@ -74,6 +74,20 @@ class TestMaxTransitive:
     def test_chain_longer_than_the_recursion_limit(self):
         assert max_transitive(transitive(1500)).assignment == tuple(range(1500))
 
+    def test_a_frame_stops_once_its_chain_covers_its_candidates(self):
+        reads = 0
+
+        class CountedRows(tuple):
+            def __getitem__(self, v):
+                nonlocal reads
+                reads += 1
+                return tuple.__getitem__(self, v)
+
+        t = transitive(200)
+        t._out = CountedRows(t.out_masks)
+        assert max_transitive(t).assignment == tuple(range(200))
+        assert reads <= 2 * 200
+
 
 def _least_longest_chain(t):
     """Scan every vertex subset for a transitive one and return the least
