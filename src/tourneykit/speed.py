@@ -14,7 +14,7 @@ canonical codes, and so does a SpeedTable: only its forms are lines.
   the automorphisms that fix the deleted vertex, which restrict to
   automorphisms of the child, so it need not rediscover them.  The
   search runs on out-masks: each kept class's are built once from its
-  code, and each child's are derived from its parent's.
+  code, and each child's are squeezed out of its parent's (_induced_out).
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -67,7 +67,7 @@ from .tournament import (
     InfeasibleSizeError,
     Tournament,
     _delete_bits,
-    _delete_out,
+    _induced_out,
     _pack,
     bits_to_line,
     bits_to_out_masks,
@@ -200,7 +200,7 @@ def hereditary_closure(
         built: set[int] = set()  # labelled children already canonicalised
         for code, gens in cur.items():
             out = bits_to_out_masks(size, code)  # each child's is derived from it
-            left = (1 << size) - 1
+            left = full = (1 << size) - 1
             while left:
                 # one deletion per orbit: t - v and t - g(v) are isomorphic
                 low = left & -left
@@ -217,7 +217,8 @@ def hereditary_closure(
                     for g in gens
                     if g[v] == v
                 ]
-                cc, cgens = canonical_code_and_automorphisms(_delete_out(out, v), known)
+                child_out = _induced_out(out, full ^ low)
+                cc, cgens = canonical_code_and_automorphisms(child_out, known)
                 if cc not in child:
                     child[cc] = cgens
                     budget.charge(size - 1, len(child), len(cgens))

@@ -92,17 +92,21 @@ def bits_to_out_masks(n: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _delete_out(out: Sequence[int], v: int) -> tuple[int, ...]:
-    """Out-masks of the tournament with out-masks ``out`` less vertex v,
-    the others relabelled in order.  Unchecked: 0 <= v < len(out) is
-    assumed.
-
-    Each row but v's keeps its bits below v and shifts those above v
-    down by one, dropping bit v."""
-    below = (1 << v) - 1
-    return tuple(
-        [(o & below) | ((o >> 1) & ~below) for i, o in enumerate(out) if i != v]
-    )
+def _induced_out(out: Sequence[int], keep: int) -> tuple[int, ...]:
+    """Out-masks of the sub-tournament on the vertex mask ``keep`` of the
+    tournament with out-masks ``out``, relabelled in order.  Unchecked:
+    keep < 1 << len(out).  The dropped rows go in one pass; then each
+    maximal run of dropped vertices, highest first, is squeezed out of the
+    kept rows (the bits below it stay, those above shift down its width)."""
+    rows = [o for i, o in enumerate(out) if keep >> i & 1]
+    drop = keep ^ ((1 << len(out)) - 1)
+    while drop:
+        top = drop.bit_length()
+        bottom = (drop ^ ((1 << top) - 1)).bit_length()  # the run is bottom..top-1
+        below, above, width = (1 << bottom) - 1, -1 << bottom, top - bottom
+        rows = [(o & below) | (o >> width & above) for o in rows]
+        drop &= below
+    return tuple(rows)
 
 
 def _pack(rows: Sequence[int]) -> int:
@@ -264,22 +268,15 @@ class Tournament:
 
     def induced(self, vertices: Iterable[int]) -> "Tournament":
         """Sub-tournament on the given vertices, relabelled 0..k-1 in
-        increasing order of original index."""
-        vs = list(vertices)
-        for v in vs:
+        increasing order of original index (see ``_induced_out``)."""
+        keep = k = 0
+        for v in vertices:
             self._check_vertex(v)
-        if len(set(vs)) != len(vs):
+            keep |= 1 << operator.index(v)
+            k += 1
+        if keep.bit_count() != k:
             raise ValueError("duplicate vertices in subset")
-        vs.sort()
-        k = len(vs)
-        out = self.out_masks
-        rows = [0] * k
-        for a, v in enumerate(vs):
-            o = out[v]
-            for b in range(a + 1, k):
-                if o >> vs[b] & 1:
-                    rows[a] |= 1 << b
-        return Tournament(k, _pack(rows))
+        return Tournament._from_out_masks(_induced_out(self.out_masks, keep))
 
     def delete(self, v: int) -> "Tournament":
         """Sub-tournament with one vertex removed."""

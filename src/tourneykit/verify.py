@@ -100,6 +100,8 @@ def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
     flag tournament."""
     if n < 0:
         raise ValueError(f"sub-tournament size must be non-negative, got {n}")
+    if m < 1:
+        raise ValueError(f"host layer count m must be >= 1, got {m}")
     if 3 * m < n:
         raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
     return len(distinct_sub_classes(make_M(flags, m), n))
@@ -522,6 +524,10 @@ def run_lemma(lemma_id: str, **params) -> VerifyReport:
             + (", ".join(accepted) if accepted else "no parameters")
         )
     for name, value in sorted(params.items()):
+        try:
+            value = params[name] = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{lemma_id}: {name} must be an integer, got {value!r}") from None
         if value < 1:
             raise ValueError(f"{lemma_id}: {name} must be at least 1, got {value}")
     return fn(**params)

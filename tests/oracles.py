@@ -42,9 +42,12 @@ structure kind against its definition (``brute_is_chain``,
 ``brute_is_type1``, ``brute_is_type2``, or an induced embedding), the
 reference for ``StructureWitness.validate``.  ``reference_from_beats``
 packs a predicate's pair bits in a Python double loop, the reference for
-``Tournament.from_beats``.  ``reference_blocks`` groups the vertices into
-the classes of the homogeneous-pair relation, each C(u, v) tested from its
-definition, the reference for ``decompose``'s chains of twin pairs.
+``Tournament.from_beats``.  ``reference_induced`` reads a sub-tournament's
+pair bits one ``beats`` call at a time, the reference for the out-mask
+squeeze behind ``Tournament.induced``.  ``reference_blocks`` groups the
+vertices into the classes of the homogeneous-pair relation, each C(u, v)
+tested from its definition, the reference for ``decompose``'s chains of
+twin pairs.
 """
 
 from __future__ import annotations
@@ -96,6 +99,16 @@ def reference_from_beats(n: int, beats) -> int:
                 bits |= 1 << k
             k += 1
     return bits
+
+
+def reference_induced(t: Tournament, vs) -> Tournament:
+    """The sub-tournament of t on the vertices vs, relabelled in increasing
+    order: one ``t.beats`` call per pair, the pair bits joined as a line."""
+    vs = sorted(vs)
+    line = [
+        "1" if t.beats(u, w) else "0" for a, u in enumerate(vs) for w in vs[a + 1 :]
+    ]
+    return Tournament(len(vs), int("".join(line)[::-1], 2) if line else 0)
 
 
 def relabelled_code(n: int, code: int, p) -> int:

@@ -191,6 +191,14 @@ def test_subcount_negative_n_is_usage_error(capsys, argv):
     assert "sub-tournament size must be non-negative, got -2" in err
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_subcount_zero_layers_is_usage_error(capsys, n):
+    code, out, err = _run(capsys, ["subcount", "--flags", "1,1,1", "--n", n, "--m", "0"])
+    assert code == 2
+    assert out == ""
+    assert "host layer count m must be >= 1, got 0" in err
+
+
 def test_gen_moon_past_the_tower_bound_is_infeasible(tmp_path, capsys):
     # one bound for the family, the tower's own: never the gen cap, and
     # never 3 ** level of a huge level

@@ -18,6 +18,7 @@ from oracles import (
     pair_out_masks,
     reference_bits_to_line,
     reference_from_beats,
+    reference_induced,
     reference_line_to_bits,
 )
 from tourneykit import (
@@ -35,7 +36,7 @@ from tourneykit import (
 from tourneykit.tournament import (
     _PAIR_BITS,
     _delete_bits,
-    _delete_out,
+    _induced_out,
     _row_major_pairs,
     _strong_components,
     bits_to_line,
@@ -153,14 +154,42 @@ class TestInduced:
                     rest = [u for u in range(n) if u != v]
                     assert _delete_bits(n, t.bits, v) == t.induced(rest).bits, (t, v)
 
-    def test_delete_out_matches_delete_bits(self):
+    def test_one_run_squeeze_matches_delete_bits(self):
         rng = random.Random(6)
         for n in range(1, 25):
+            full = (1 << n) - 1
             for _ in range(8):
                 t = random_tournament(n, rng)
                 for v in range(n):
                     want = Tournament(n - 1, _delete_bits(n, t.bits, v)).out_masks
-                    assert _delete_out(t.out_masks, v) == want, (t, v)
+                    assert _induced_out(t.out_masks, full ^ 1 << v) == want, (t, v)
+
+    def test_every_subset_up_to_five_vertices(self):
+        for n in range(6):
+            for t in all_labelled(n):
+                for keep in range(1 << n):
+                    vs = [v for v in range(n) if keep >> v & 1]
+                    assert t.induced(vs) == reference_induced(t, vs), (t, vs)
+
+    def test_random_subsets_of_every_class_up_to_seven_vertices(self, classes_by_n):
+        rng = random.Random(8)
+        for n, members in classes_by_n.items():
+            for t in members:
+                for _ in range(6):
+                    vs = rng.sample(range(n), rng.randrange(n + 1))
+                    assert t.induced(vs) == reference_induced(t, vs), (t, vs)
+
+    @pytest.mark.parametrize("n", [9, 64, 257, 2048])
+    def test_few_runs_and_alternating_subsets_of_relabelled_random(self, n):
+        rng = random.Random(n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = random_tournament(n, rng).relabel(perm)
+        # a few long runs dropped, and every other vertex dropped
+        cuts = sorted(rng.sample(range(1, n), 6))
+        few = [v for v in range(n) if sum(c <= v for c in cuts) % 2 == 0]
+        for vs in (few, range(0, n, 2), range(1, n, 2)):
+            assert t.induced(vs) == reference_induced(t, vs), (n, vs)
 
     def test_delete_checks_its_vertex(self):
         assert transitive(4).delete(2) == transitive(3)
@@ -203,8 +232,9 @@ class TestRelabel:
 
 
 class TestKeptOutMasks:
-    """``relabel`` and ``substitute`` keep the full out-masks they build on
-    their result, so searches need not decode its pair bits again."""
+    """``relabel``, ``substitute`` and ``induced`` keep the full out-masks
+    they build on their result, so searches need not decode its pair bits
+    again."""
 
     def test_they_equal_the_decoded_masks(self):
         rng = random.Random(24)
@@ -215,7 +245,9 @@ class TestKeptOutMasks:
             rng.shuffle(perm)
             k = rng.randrange(0, 6)
             parts = [random_tournament(rng.randrange(0, 5), rng) for _ in range(k)]
-            for got in (t.relabel(perm), substitute(random_tournament(k, rng), parts)):
+            sub = rng.sample(range(n), rng.randrange(n + 1))
+            quotient = random_tournament(k, rng)
+            for got in (t.relabel(perm), substitute(quotient, parts), t.induced(sub)):
                 assert got._out == bits_to_out_masks(got.n, got.bits), got
 
 

@@ -87,6 +87,11 @@ CASES = {
         ValueError,
         "host on 3*2 vertices has no 7-subsets",
     ),
+    "sub-L-layers": (
+        lambda: count_sub_L((1, 1, 1), 0, 0),
+        ValueError,
+        "host layer count m must be >= 1, got 0",
+    ),
     "type1-count-n": (lambda: type1_tn_classes(1), ValueError, "n must be >= 2"),
     "detect-type1-k": (lambda: detect_type1(T5, 0), ValueError, "k must be >= 1"),
     "detect-type2-k": (lambda: detect_type2(T5, 0), ValueError, "k must be >= 1"),

@@ -98,3 +98,17 @@ def test_a_wrong_count_fails_its_case(relation, monkeypatch, capsys):
     assert faulty.required == honest.required
     assert run(["verify", lemma_id, "--n-max", str(n_max)]) == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "lemma_id, params, message",
+    [
+        ("fekete", {"n_max": 2.5}, "fekete: n_max must be an integer, got 2.5"),
+        ("olarge", {"n_max": 3.0}, "olarge: n_max must be an integer, got 3.0"),
+        ("moon-aut", {"level_max": "2"}, "moon-aut: level_max must be an integer, got '2'"),
+    ],
+    ids=["fekete-float", "olarge-integral-float", "moon-aut-str"],
+)
+def test_a_non_integer_parameter_is_named(lemma_id, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_lemma(lemma_id, **params)
