@@ -22,7 +22,7 @@ from tourneykit import (
     make_cyclic_blowup,
     property_slope,
 )
-from tourneykit.verify import t_family_table
+from tourneykit.verify import cyclic_family_table, t_family_table
 
 
 def main() -> None:
@@ -34,37 +34,40 @@ def main() -> None:
     if n_max < 1:
         parser.error(f"--n-max must be at least 1, got {n_max}")
 
+    # (name, label printed for the seed, table)
     tables = [
-        ("stacked-1/3-blocks", t_family_table(n_max + 3, n_max)),
         (
-            "cyclic-closure",
-            hereditary_closure(
-                [make_cyclic(m) for m in range(1, 13)], n_max,
-                seed_description="cyclic m<=12",
-            ),
+            "stacked-1/3-blocks",
+            f"stacked 1/3 blocks, sums <= {n_max + 3}",
+            t_family_table(n_max + 3, n_max),
         ),
-        ("avoid-strong-4", avoidance_closure([make_cyclic(4)], min(n_max, 9))),
+        ("cyclic-closure", "cyclic m<=12", cyclic_family_table(12, n_max)),
+        (
+            "avoid-strong-4",
+            "avoid 4:001000",
+            avoidance_closure([make_cyclic(4)], min(n_max, 9)),
+        ),
         (
             "transitive-only",
-            hereditary_closure([make_T((1,) * 13)], n_max,
-                               seed_description="transitive(13)"),
+            "transitive(13)",
+            hereditary_closure([make_T((1,) * 13)], n_max),
         ),
         (
             "two-large-blocks",
-            hereditary_closure([make_cyclic_blowup((12, 12, 1))], n_max,
-                               seed_description="blowup(12,12,1)"),
+            "blowup(12,12,1)",
+            hereditary_closure([make_cyclic_blowup((12, 12, 1))], n_max),
         ),
         (
             "three-large-blocks",
-            hereditary_closure([make_cyclic_blowup((11, 11, 11))], n_max,
-                               seed_description="blowup(11,11,11)"),
+            "blowup(11,11,11)",
+            hereditary_closure([make_cyclic_blowup((11, 11, 11))], n_max),
         ),
     ]
-    for name, table in tables:
+    for name, label, table in tables:
         levels = table.levels()
         lo, hi = max(6, min(levels)), max(levels)
         slope = property_slope(table, lo, hi) if hi > lo else float("nan")
-        print(f"# {name} (seed: {table.seed}; slope[{lo},{hi}] = {slope:.3f})")
+        print(f"# {name} (seed: {label}; slope[{lo},{hi}] = {slope:.3f})")
         if args.forms:
             print(table.to_json(include_forms=True))
         else:

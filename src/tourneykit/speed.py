@@ -53,7 +53,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .canon import (
@@ -169,11 +168,7 @@ class _Budget:
 
 
 def hereditary_closure(
-    seeds: Sequence[Tournament],
-    n_max: int,
-    *,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-    seed_description: str | None = None,
+    seeds: Sequence[Tournament], n_max: int, *, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> SpeedTable:
     """Level-by-level deletion BFS from the seeds, recording levels <= n_max."""
     if not seeds:
@@ -225,7 +220,7 @@ def hereditary_closure(
         budget.release(size - 1, len(built))
 
     table = SpeedTable(
-        seed=seed_description or f"{len(seeds)} seed(s), max size {top}",
+        seed=f"{len(seeds)} seed(s), max size {top}",
         codes={n: frozenset(lv) for n, lv in sorted(levels.items()) if n <= n_max},
     )
     del levels  # frees automorphisms and levels above n_max before the self-check
@@ -324,11 +319,7 @@ def _least_invariant_masks(out: Sequence[int], masks: Iterable[int]) -> list[int
 
 
 def avoidance_closure(
-    forbidden: Sequence[Tournament],
-    n_max: int,
-    *,
-    mem_budget: int = DEFAULT_MEM_BUDGET,
-    seed_description: str | None = None,
+    forbidden: Sequence[Tournament], n_max: int, *, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> SpeedTable:
     """Extension BFS over the property of tournaments with no forbidden
     induced sub-tournament, recording levels <= n_max (see the module
@@ -376,10 +367,31 @@ def avoidance_closure(
                     budget.charge(k + 1, len(nxt))
         levels[k + 1] = frozenset(nxt)
 
-    desc = seed_description or (
+    desc = (
         "avoid " + ",".join(sorted(f"{k}:{bits_to_line(k, c)}" for k, c in patterns))
+        if patterns
+        else "all tournaments"
     )
     return SpeedTable(seed=desc, codes={n: c for n, c in levels.items() if n <= n_max})
+
+
+def check_subset_budget(n: int, k: int) -> None:
+    """Refuse to count the k-vertex classes of an n-vertex host when its
+    C(n, k) * C(k, 2) pair extractions are over PAIR_BUDGET; verify's
+    counts call it before they build their host.
+
+    C(n, j) rises with j up to min(k, n - k), where it is C(n, k), so the
+    product is built a factor at a time and refused once it is over: a
+    huge host costs a few steps, not its whole binomial.
+    """
+    cost = k * (k - 1) // 2
+    for j in range(1, min(k, n - k) + 1):
+        cost = cost * (n - j + 1) // j  # C(n, j) * C(k, 2), exactly
+        if cost > PAIR_BUDGET:
+            raise InfeasibleSizeError(
+                f"enumerating C({n},{k}) subsets needs more pair extractions "
+                f"than the budget of {PAIR_BUDGET}"
+            )
 
 
 def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
@@ -397,12 +409,7 @@ def distinct_sub_classes(host: Tournament, k: int) -> tuple[str, ...]:
         return ()
     if k == 0:
         return ("",)
-    cost = comb(n, k) * comb(k, 2)
-    if cost > PAIR_BUDGET:
-        raise InfeasibleSizeError(
-            f"enumerating C({n},{k}) subsets needs ~{cost} pair extractions, "
-            f"over the budget of {PAIR_BUDGET}"
-        )
+    check_subset_budget(n, k)
     out = host.out_masks
     states = {(n, 0, (0,) * n)}
     for j in range(k - 1):
@@ -474,4 +481,4 @@ def check_supermultiplicative(
 def all_classes(n_max: int) -> SpeedTable:
     """Every unlabelled tournament up to n_max (extension BFS, no patterns
     forbidden)."""
-    return avoidance_closure([], n_max, seed_description="all tournaments")
+    return avoidance_closure([], n_max)

@@ -34,6 +34,7 @@ from .families import (
 from .speed import (
     SpeedTable,
     avoidance_closure,
+    check_subset_budget,
     check_supermultiplicative,
     distinct_sub_classes,
     hereditary_closure,
@@ -104,6 +105,8 @@ def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
         raise ValueError(f"host layer count m must be >= 1, got {m}")
     if 3 * m < n:
         raise ValueError(f"host on 3*{m} vertices has no {n}-subsets")
+    flags = FlagTriple.coerce(flags)
+    check_subset_budget(3 * m, n)
     return len(distinct_sub_classes(make_M(flags, m), n))
 
 
@@ -143,6 +146,7 @@ def count_sub_L_scan(
 
 def count_cyclic_subs(n: int) -> int:
     """Distinct n-vertex sub-tournaments of the cyclic tournament on 2n."""
+    check_subset_budget(2 * n, n)
     return len(distinct_sub_classes(make_cyclic(2 * n), n))
 
 
@@ -157,8 +161,10 @@ def _i1zero_lower(n: int) -> int:
 
 
 def _cyclic_lower(n: int) -> int:
-    """Lower bound (iii), ceil(2^(n-1)/n), for the cyclic host's classes."""
-    return ceil(2 ** (n - 1) / n)
+    """Lower bound (iii), ceil(2^(n-1)/n), for the cyclic host's classes,
+    in integers: a float quotient is wrong from n = 57 and overflows from
+    n = 1,036."""
+    return -(-(1 << (n - 1)) // n)
 
 
 def type1_tn_classes(n: int) -> int:
@@ -233,11 +239,7 @@ def t_family_table(sum_max: int, n_max: int) -> SpeedTable:
     deletion BFS reaches it without a search of its own.
     """
     seeds = [make_T(seq) for seq in composition_seqs(sum_max) if sum(seq) == sum_max]
-    return hereditary_closure(
-        seeds,
-        n_max,
-        seed_description=f"stacked 1/3 blocks, sums <= {sum_max}",
-    )
+    return hereditary_closure(seeds, n_max)
 
 
 def _dn_shape(n: int, s: frozenset[int]) -> bool:
@@ -362,9 +364,7 @@ def verify_olarge(n_max: int = 30) -> VerifyReport:
 
 def cyclic_family_table(m_max: int = 12, n_max: int = 5) -> SpeedTable:
     seeds = [make_cyclic(m) for m in range(1, m_max + 1)]
-    return hereditary_closure(
-        seeds, n_max, seed_description=f"cyclic tournaments, m <= {m_max}"
-    )
+    return hereditary_closure(seeds, n_max)
 
 
 def verify_osmall() -> VerifyReport:
@@ -380,17 +380,13 @@ def verify_osmall() -> VerifyReport:
         if sum(seq) == 5
     }
     for flavor in (0, 1):
-        tab = hereditary_closure(
-            [make_type1(3, flavor)], 5, seed_description=f"type1(3,{flavor})"
-        )
+        tab = hereditary_closure([make_type1(3, flavor)], 5)
         lvl5 = tab.codes.get(5, frozenset())
         cases.append(_case(f"(b) type1(3,{flavor}) n=5", tab.count(5), ">=", 4))
         name = f"(b) type1(3,{flavor}) contains stacked family level 5"
         cases.append(_case(name, len(t5 & lvl5), "==", len(t5)))
     for flags in ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)):
-        tab = hereditary_closure(
-            [make_M(flags, 3)], 5, seed_description=f"M{flags} level 3"
-        )
+        tab = hereditary_closure([make_M(flags, 3)], 5)
         cases.append(
             _case(f"(c) M_I(3) I={flags} n=5", tab.count(5), ">=", fstar(5), "fstar(5)")
         )
@@ -412,7 +408,7 @@ def verify_moon_aut(level_max: int = 3) -> VerifyReport:
 
 def verify_fekete(n_max: int = 9) -> VerifyReport:
     c4 = make_cyclic(4)
-    table = avoidance_closure([c4], n_max, seed_description="avoid cyclic(4)")
+    table = avoidance_closure([c4], n_max)
     report = check_supermultiplicative(table, forbidden=[c4])
     cases = [
         Case(f"m={m} n={n}", cnt, f">= product {prod}", ok)
@@ -429,17 +425,9 @@ def verify_fekete(n_max: int = 9) -> VerifyReport:
 
 def verify_lemma3_bound(n_max: int = 10) -> VerifyReport:
     properties = [
-        ("transitive", hereditary_closure(
-            [make_T((1,) * 12)], n_max, seed_description="transitive(12)"
-        )),
-        ("two-blocks", hereditary_closure(
-            [make_cyclic_blowup((12, 12, 1))], n_max,
-            seed_description="blowup(12,12,1)",
-        )),
-        ("three-blocks", hereditary_closure(
-            [make_cyclic_blowup((8, 8, 8))], n_max,
-            seed_description="blowup(8,8,8)",
-        )),
+        ("transitive", hereditary_closure([make_T((1,) * 12)], n_max)),
+        ("two-blocks", hereditary_closure([make_cyclic_blowup((12, 12, 1))], n_max)),
+        ("three-blocks", hereditary_closure([make_cyclic_blowup((8, 8, 8))], n_max)),
     ]
     cases = []
     for name, table in properties:
@@ -488,7 +476,7 @@ def theorem2_slope(k: int) -> tuple[float, SpeedTable]:
         seed = make_cyclic_blowup((11, 11, 11))
     else:
         raise ValueError("engineered seeds available for k in {1, 2}")
-    table = hereditary_closure([seed], 12, seed_description=f"blowup k={k}")
+    table = hereditary_closure([seed], 12)
     return property_slope(table, 6, 12), table
 
 

@@ -651,11 +651,7 @@ def unfiltered_avoidance_forms(
 def all_seeds_t_family_table(sum_max: int, n_max: int) -> SpeedTable:
     """The stacked 1/3-block family's table with one seed per composition
     of every sum up to sum_max."""
-    return hereditary_closure(
-        [make_T(seq) for seq in composition_seqs(sum_max)],
-        n_max,
-        seed_description=f"stacked 1/3 blocks, sums <= {sum_max}",
-    )
+    return hereditary_closure([make_T(seq) for seq in composition_seqs(sum_max)], n_max)
 
 
 def unpruned_hereditary_closure(

@@ -256,6 +256,31 @@ def test_verify_pass_and_reproducible(capsys):
     assert out1 == out2  # byte-identical JSON across runs
 
 
+def test_verify_olarge_past_the_float_range(capsys):
+    # ceil(2^(n-1)/n) through a float overflowed from n = 1,036
+    code, out, err = _run(capsys, ["verify", "olarge", "--n-max", "1100"])
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, call",
+    [
+        (["--flags", "1,1,1", "--n", "3", "--m", "100000"],
+         lambda: tourneykit.count_sub_L((1, 1, 1), 3, 100000)),
+        (["--cyclic", "--n", "100000"], lambda: tourneykit.count_cyclic_subs(100000)),
+    ],
+    ids=["flags", "cyclic"],
+)
+def test_subcount_over_the_pair_budget_is_infeasible(capsys, argv, call):
+    with pytest.raises(tourneykit.InfeasibleSizeError) as exc:
+        call()
+    code, out, err = _run(capsys, ["subcount", *argv])
+    assert code == 3
+    assert out == ""
+    assert str(exc.value) in err
+
+
 def test_verify_moon(capsys):
     code, out, _ = _run(capsys, ["verify", "moon-aut"])
     assert code == 0

@@ -30,14 +30,15 @@ def test_run_verification_one_id():
 def test_speed_tables_small():
     proc = _script("speed_tables.py", "--n-max", "6")
     assert proc.returncode == 0, proc.stderr
-    headers = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("# ")]
+    # each label is the script's own, not the closure's seed text
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("# ")]
     assert headers == [
-        "stacked-1/3-blocks",
-        "cyclic-closure",
-        "avoid-strong-4",
-        "transitive-only",
-        "two-large-blocks",
-        "three-large-blocks",
+        "# stacked-1/3-blocks (seed: stacked 1/3 blocks, sums <= 9; slope[6,6] = nan)",
+        "# cyclic-closure (seed: cyclic m<=12; slope[6,6] = nan)",
+        "# avoid-strong-4 (seed: avoid 4:001000; slope[6,6] = nan)",
+        "# transitive-only (seed: transitive(13); slope[6,6] = nan)",
+        "# two-large-blocks (seed: blowup(12,12,1); slope[6,6] = nan)",
+        "# three-large-blocks (seed: blowup(11,11,11); slope[6,6] = nan)",
     ]
     assert proc.stdout.count("n,count\n") == 6
 

@@ -1,10 +1,12 @@
 """Closure enumeration, sub-tournament counting, and the counting checks."""
 
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from math import ceil, comb
 from pathlib import Path
@@ -19,12 +21,13 @@ from oracles import (
     carved_type1_subs,
     unpruned_hereditary_closure,
 )
-from tourneykit import canon
+from tourneykit import canon, speed, verify
 from tourneykit import (
     BudgetExceededError,
     InfeasibleSizeError,
     SpeedTable,
     Tournament,
+    all_classes,
     avoidance_closure,
     canonical_form,
     check_olarge,
@@ -92,7 +95,7 @@ class TestHereditaryClosure:
     def test_stacked_family_matches_all_seeds(self, sum_max):
         table = t_family_table(sum_max, sum_max)
         want = all_seeds_t_family_table(sum_max, sum_max)
-        assert (table.seed, table.forms) == (want.seed, want.forms)
+        assert table.codes == want.codes
 
     def test_cyclic_family_level_four(self):
         seeds = [make_cyclic(m) for m in range(1, 13)]
@@ -179,9 +182,9 @@ class TestHereditaryClosure:
         assert proc.stdout.startswith("raised: self-check failed")
 
     def test_json_shape(self):
-        table = hereditary_closure([transitive(4)], 4, seed_description="t4")
+        table = hereditary_closure([transitive(4)], 4)
         data = json.loads(table.to_json(include_forms=True))
-        assert data["seed"] == "t4"
+        assert data["seed"] == "1 seed(s), max size 4"
         assert data["levels"]["4"]["count"] == 1
         assert data["levels"]["4"]["forms"] == ["000000"]
 
@@ -268,21 +271,41 @@ class TestAvoidanceClosure:
         assert table.seed == "avoid 3:010,4:001000,4:001000"
 
     def test_default_seed_makes_no_search_of_its_own(self, monkeypatch):
-        real = canon._search
+        # each search is a miss of the shared code cache or a kept
+        # extension's: naming the patterns adds none
+        real_search, real_least = canon._search, speed._least_invariant_masks
         calls = []
+        kept = []
 
         def counted(*args):
             calls.append(args)
-            return real(*args)
+            return real_search(*args)
+
+        def least(*args):
+            masks = real_least(*args)
+            kept.append(len(masks))
+            return masks
 
         monkeypatch.setattr(canon, "_search", counted)
-        made = []
-        for desc in ("given", None):
-            canon._canon_code.cache_clear()
-            calls.clear()
-            avoidance_closure([make_cyclic(4).relabel([2, 0, 3, 1])], 3, seed_description=desc)
-            made.append(len(calls))
-        assert made[1] <= made[0]
+        monkeypatch.setattr(speed, "_search", counted)
+        monkeypatch.setattr(speed, "_least_invariant_masks", least)
+        canon._canon_code.cache_clear()
+        table = avoidance_closure([make_cyclic(4).relabel([2, 0, 3, 1]), make_T((3,))], 5)
+        assert table.seed == "avoid 3:010,4:001000"
+        assert sum(kept) > 0
+        assert len(calls) == canon._canon_code.cache_info().misses + sum(kept)
+
+    @pytest.mark.parametrize("closure", [hereditary_closure, avoidance_closure])
+    def test_closure_takes_one_keyword_option(self, closure):
+        params = inspect.signature(closure).parameters
+        assert "seed_description" not in params
+        assert [p.name for p in params.values() if p.kind is p.KEYWORD_ONLY] == ["mem_budget"]
+
+    @pytest.mark.parametrize("n_max", range(1, 7))
+    def test_all_classes_is_the_plain_closure(self, n_max):
+        table = all_classes(n_max)
+        assert table.seed == "all tournaments"
+        assert table == avoidance_closure([], n_max)
 
     def test_memory_budget_stops_part_way_through_a_level(self):
         with pytest.raises(BudgetExceededError) as exc:
@@ -330,6 +353,34 @@ class TestSubCounting:
         with pytest.raises(InfeasibleSizeError):
             distinct_sub_classes(make_cyclic(30), 15)
 
+    def test_pair_budget_is_the_cost_formula(self):
+        # hosts on either side of the budget, for every subset size
+        for n in (0, 1, 2, 5, 27, 28, 29, 60, 200, 1000):
+            for k in range(n + 1):
+                over = comb(n, k) * comb(k, 2) > speed.PAIR_BUDGET
+                try:
+                    speed.check_subset_budget(n, k)
+                except InfeasibleSizeError as exc:
+                    assert over, (n, k)
+                    assert str(exc) == (
+                        f"enumerating C({n},{k}) subsets needs more pair "
+                        f"extractions than the budget of {speed.PAIR_BUDGET}"
+                    )
+                else:
+                    assert not over, (n, k)
+
+    def test_pair_budget_refuses_before_building_the_host(self, monkeypatch):
+        # either host would take gigabytes of out-masks
+        def unbuilt(*args):
+            raise AssertionError("host built before the budget check")
+
+        monkeypatch.setattr(verify, "make_M", unbuilt)
+        monkeypatch.setattr(verify, "make_cyclic", unbuilt)
+        with pytest.raises(InfeasibleSizeError, match=r"C\(3000000,3\)"):
+            count_sub_L((1, 1, 1), 3, 10**6)
+        with pytest.raises(InfeasibleSizeError, match=r"C\(2000000,1000000\)"):
+            count_cyclic_subs(10**6)
+
     @pytest.mark.parametrize("flags", list(product((0, 1), repeat=3)))
     def test_matches_subset_scan_on_flag_hosts(self, flags):
         # equal partial states are common on flag hosts, so dedup is exercised
@@ -361,6 +412,11 @@ class TestSubCounting:
 class TestCountingChecks:
     def test_olarge_all_pass(self):
         assert all(c.holds for c in check_olarge(30))
+
+    def test_cyclic_lower_is_the_exact_ceiling(self):
+        # a float quotient is off from n = 57 and overflows from n = 1,036
+        for n in range(1, 2001):
+            assert verify._cyclic_lower(n) == ceil(Fraction(2 ** (n - 1), n)), n
 
     def test_olarge_tightness_at_six(self):
         assert 2**5 - 2 * comb(5, 2) - 6 == fstar(6)
