@@ -12,9 +12,17 @@ canonical codes, and so does a SpeedTable: only its forms are lines.
   search.  Only one vertex per orbit of those automorphisms is deleted,
   since t - v and t - g(v) are isomorphic.  Each child's search is handed
   the automorphisms that fix the deleted vertex, which restrict to
-  automorphisms of the child, so it need not rediscover them.  The
-  search runs on out-masks: each kept class's are built once from its
-  code, and each child's are squeezed out of its parent's (_induced_out).
+  automorphisms of the child, so it need not rediscover them.  A child
+  with two or more strong components is searched only when its
+  condensation key is new on the level: the condensation is transitive,
+  so the sequence of its components' classes names its class, and the
+  key spells that sequence (_condensation_key) with no search unless a
+  component has 4 or more vertices.  Its components are the parent's,
+  with the one that held the deleted vertex replaced by the components
+  of what is left of it.  A strong child of a strong parent is searched
+  once per distinct labelled code instead.  The search runs on
+  out-masks: each kept class's are built once from its code, and each
+  child's are squeezed out of its parent's (_induced_out).
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -68,6 +76,7 @@ from .tournament import (
     _delete_bits,
     _induced_out,
     _pack,
+    _strong_components,
     bits_to_line,
     bits_to_out_masks,
     concat,
@@ -167,6 +176,39 @@ class _Budget:
         self.used -= codes * (pair_count(level) + _FORM_OVERHEAD)
 
 
+def _key_segments(out: Sequence[int], parts: Iterable[int]) -> list[tuple[int, int]]:
+    """(bits, width) of each strong component's segment of a condensation
+    key (_condensation_key): its size in 6 bits, then for 4 or more
+    vertices its canonical code in C(size, 2) bits.  ``parts`` are vertex
+    masks of the tournament with out-masks ``out``."""
+    segments = []
+    for part in parts:
+        size = part.bit_count()
+        if size > 3:
+            width = pair_count(size)
+            code = _canon_code(size, _pack(_induced_out(out, part)))
+            segments.append((size << width | code, 6 + width))
+        else:
+            segments.append((size, 6))
+    return segments
+
+
+def _condensation_key(segments: Iterable[tuple[int, int]], key: int = 1) -> int:
+    """One int naming the class of a tournament, from the key segments of
+    its strong components in condensation order (_key_segments); ``key``,
+    the key of the components before them, is extended by them.
+
+    The condensation is transitive, so the class is the sequence of the
+    components' classes.  The key is a leading 1, then each component's
+    segment: read from the top it decodes in one way, so equal keys mean
+    equal sequences.  A strong component of 1 or 3 vertices has one class
+    (a vertex, the cyclic triangle) and none has 2, so its size is its
+    whole segment."""
+    for bits, width in segments:
+        key = key << width | bits
+    return key
+
+
 def hereditary_closure(
     seeds: Sequence[Tournament], n_max: int, *, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> SpeedTable:
@@ -192,32 +234,59 @@ def hereditary_closure(
     for size in range(top, 1, -1):
         cur = levels[size]  # not empty: the level above, or a seed, reached it
         child = levels.setdefault(size - 1, {})
-        built: set[int] = set()  # labelled children already canonicalised
+        built: set[int] = set()  # labelled strong children already canonicalised
+        keyed: set[int] = set()  # condensation keys of the other children searched
         for code, gens in cur.items():
             out = bits_to_out_masks(size, code)  # each child's is derived from it
-            left = full = (1 << size) - 1
-            while left:
-                # one deletion per orbit: t - v and t - g(v) are isomorphic
-                low = left & -left
-                left &= ~orbit_mask(low, gens)
-                v = low.bit_length() - 1
-                sub = _delete_bits(size, code, v)
-                if sub in built:
-                    continue
-                built.add(sub)
-                budget.charge(size - 1, len(child))
-                # an automorphism fixing v restricts to one of t - v
-                known = [
-                    tuple([y - (y > v) for y in g[:v] + g[v + 1 :]])
-                    for g in gens
-                    if g[v] == v
-                ]
-                child_out = _induced_out(out, full ^ low)
-                cc, cgens = canonical_code_and_automorphisms(child_out, known)
-                if cc not in child:
-                    child[cc] = cgens
-                    budget.charge(size - 1, len(child), len(cgens))
-        budget.release(size - 1, len(built))
+            full = (1 << size) - 1
+            parts = _strong_components(out)
+            strong = len(parts) == 1
+            # a strong parent's one segment, itself, is in no child's key
+            segments = [(0, 0)] if strong else _key_segments(out, parts)
+            # head: the key up to the part at hand; tail: the segments after it
+            head = 1
+            tail = _condensation_key(segments)
+            tail_width = tail.bit_length() - 1
+            for part, (bits, width) in zip(parts, segments):
+                tail_width -= width
+                tail &= (1 << tail_width) - 1
+                # an automorphism keeps each strong component, so its
+                # orbits stay inside it
+                left = part
+                while left:
+                    # one deletion per orbit: t - v and t - g(v) are isomorphic
+                    low = left & -left
+                    left &= ~orbit_mask(low, gens)
+                    v = low.bit_length() - 1
+                    if strong:
+                        sub = _delete_bits(size, code, v)
+                        if sub in built:
+                            continue
+                    # the child's components: the parent's, with this part
+                    # replaced by the components of what is left of it
+                    rest = _strong_components(out, part ^ low)
+                    if strong and len(rest) == 1:
+                        built.add(sub)
+                    else:
+                        sub = _condensation_key(_key_segments(out, rest), head)
+                        sub = sub << tail_width | tail
+                        if sub in keyed:
+                            continue
+                        keyed.add(sub)
+                    budget.charge(size - 1, len(child))
+                    # an automorphism fixing v restricts to one of t - v
+                    known = [
+                        tuple([y - (y > v) for y in g[:v] + g[v + 1 :]])
+                        for g in gens
+                        if g[v] == v
+                    ]
+                    child_out = _induced_out(out, full ^ low)
+                    cc, cgens = canonical_code_and_automorphisms(child_out, known)
+                    if cc not in child:
+                        child[cc] = cgens
+                        budget.charge(size - 1, len(child), len(cgens))
+                head = head << width | bits
+        budget.release(size - 1, len(built) + len(keyed))
 
     table = SpeedTable(
         seed=f"{len(seeds)} seed(s), max size {top}",

@@ -136,20 +136,32 @@ def _transitive_on(out: Sequence[int], mask: int) -> bool:
     return len(degrees) == mask.bit_count()
 
 
-def _strong_components(out: Sequence[int]) -> list[int]:
-    """The strong components of the tournament with out-masks ``out``, as
-    vertex masks in condensation order: each beats every later one.
+def _strong_components(out: Sequence[int], keep: int = -1) -> list[int]:
+    """The strong components of the sub-tournament on the vertex mask
+    ``keep`` (every vertex by default) of the tournament with out-masks
+    ``out``, as vertex masks in condensation order: each beats every later
+    one.
 
     k vertices have out-degrees summing to at least C(k, 2), the arcs among
     them, with equality exactly when they lose to every other vertex.  Such
     a set is a prefix of the vertices in ascending out-degree, so the
-    components are the runs between the prefixes that attain C(k, 2)."""
-    degrees = [o.bit_count() for o in out]
+    components are the runs between the prefixes that attain C(k, 2).  A
+    vertex beats every vertex of each later component and at most all but
+    itself of its own, so one of an earlier component has the larger
+    out-degree: vertices of equal out-degree share a component, and the
+    prefixes are read a whole out-degree at a time."""
+    at: dict[int, int] = {}  # out-degree -> the vertices with it
+    for v, o in enumerate(out):
+        if keep >> v & 1:
+            d = (o & keep).bit_count()
+            at[d] = at.get(d, 0) | 1 << v
     parts: list[int] = []
-    part = total = 0
-    for k, v in enumerate(sorted(range(len(out)), key=degrees.__getitem__), 1):
-        part |= 1 << v
-        total += degrees[v]
+    part = total = k = 0
+    for d in sorted(at):
+        part |= at[d]
+        size = at[d].bit_count()
+        k += size
+        total += size * d
         if total == k * (k - 1) // 2:
             parts.append(part)
             part = 0

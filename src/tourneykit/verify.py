@@ -15,7 +15,7 @@ import inspect
 import json
 import operator
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from math import ceil, comb, log
 from typing import Callable, Iterator, Sequence
 
@@ -84,16 +84,19 @@ class VerifyReport:
         )
 
 
+def _fstar_terms() -> Iterator[int]:
+    """fstar(0), fstar(1), fstar(2), ... without end."""
+    a, b, c = 1, 1, 1  # f(0), f(1), f(2)
+    while True:
+        yield a
+        a, b, c = b, c, c + a
+
+
 def fstar(n: int) -> int:
     """Fibonacci-type sequence: 1, 1, 1 then f(n) = f(n-1) + f(n-3)."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    a, b, c = 1, 1, 1  # f(0), f(1), f(2)
-    if n < 3:
-        return 1
-    for _ in range(n - 2):
-        a, b, c = b, c, c + a
-    return c
+    return next(islice(_fstar_terms(), n, None))
 
 
 def count_sub_L(flags: FlagTriple | Sequence[int], n: int, m: int) -> int:
@@ -201,16 +204,15 @@ def check_olarge(n_max: int = 30) -> list[InequalityCase]:
     """
     cases: list[InequalityCase] = []
     f1, f2, f3 = count_tn_lower, _i1zero_lower, _cyclic_lower
+    fs = list(islice(_fstar_terms(), n_max + 1))  # fs[n] is fstar(n)
     for n in range(6, n_max + 1):
-        cases.append(InequalityCase("i", n, f1(n), fstar(n), f1(n) >= fstar(n)))
+        cases.append(InequalityCase("i", n, f1(n), fs[n], f1(n) >= fs[n]))
         strict = 2 ** (n - 2) > f2(n)
-        cases.append(
-            InequalityCase("ii", n, f2(n), fstar(n), strict and f2(n) >= fstar(n))
-        )
+        cases.append(InequalityCase("ii", n, f2(n), fs[n], strict and f2(n) >= fs[n]))
     for n in range(1, n_max + 1):
         if n == 4:
             continue
-        cases.append(InequalityCase("iii", n, f3(n), fstar(n), f3(n) >= fstar(n)))
+        cases.append(InequalityCase("iii", n, f3(n), fs[n], f3(n) >= fs[n]))
     for n in range(6, n_max):
         for label, f in (("i-rec", f1), ("ii-rec", f2), ("iii-rec", f3)):
             lhs = f(n + 1)

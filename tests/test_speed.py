@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    all_labelled,
     all_seeds_t_family_table,
     brute_sub_classes,
     carved_type1_subs,
@@ -50,6 +52,7 @@ from tourneykit import (
     random_tournament,
     type1_tn_classes,
 )
+from tourneykit.tournament import _strong_components
 from tourneykit.verify import composition_seqs, t_family_table
 
 
@@ -141,24 +144,43 @@ class TestHereditaryClosure:
         # the classes alone are charged 481,056 bytes over the whole
         # closure; each also keeps generators of its group, 48 + 8n bytes
         # apiece (the seed its eight triangle rotations: 8 * 240 bytes on
-        # top of 276 + 64).  Each labelled child held while a level is
-        # built is charged as a class, 171 + 64 bytes on level 19, until
-        # the level ends: 806,799 bytes of classes and generators down to
-        # level 19 and 823 held children take the total to 1,000,204
+        # top of 276 + 64).  Each condensation key held while a level is
+        # built is charged as a class, 153 + 64 bytes on level 18, until
+        # the level ends; every child here has two or more strong
+        # components, so a level holds one key per class: 981,315 bytes of
+        # classes and generators down to level 18 and 88 held keys take
+        # the total to 1,000,411
         with pytest.raises(BudgetExceededError) as exc:
             hereditary_closure([make_T((3,) * 8)], 24, mem_budget=1_000_000)
-        assert _budget_stop(exc.value) == (19, 273)
+        assert _budget_stop(exc.value) == (18, 88)
 
     def test_memory_budget_releases_held_children(self):
         # classes and generators take 2,058,144 bytes over the whole
-        # closure, and each level's held children are released when it
-        # ends, so the charge peaks at 2,058,216 on level 3; kept to the
-        # end, the 1,902,582 bytes of held children would stop the run
-        table = hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_216)
+        # closure, and each level's held keys are released when it ends,
+        # so the charge peaks at 2,058,208 on level 1: every class and the
+        # key of the last, 0 + 64 bytes; kept to the end, the 480,716
+        # bytes of held keys would stop the run
+        table = hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_208)
         assert table.count(24) == 1
         with pytest.raises(BudgetExceededError) as exc:
-            hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_215)
-        assert _budget_stop(exc.value) == (3, 2)
+            hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_207)
+        assert _budget_stop(exc.value) == (1, 1)
+
+    def test_one_search_per_class(self, monkeypatch):
+        # every child of a stacked-triangle member below level 4 or above
+        # has two or more strong components, so the closure searches each
+        # class it keeps once: the 1,276 classes of levels 1-17
+        real = speed.canonical_code_and_automorphisms
+        calls = []
+
+        def counted(out, known=()):
+            calls.append(len(out))
+            return real(out, known)
+
+        monkeypatch.setattr(speed, "canonical_code_and_automorphisms", counted)
+        t_family_table(17, 14)
+        assert len(calls) == sum(fstar(n) for n in range(1, 18)) == 1276
+        assert all(calls.count(n) == fstar(n) for n in range(1, 18))
 
     def test_self_check_survives_optimize(self):
         code = (
@@ -198,6 +220,61 @@ def paley(p):
     return Tournament.from_beats(p, lambda i, j: (j - i) % p in qr)
 
 
+def condensation_key(t):
+    """The deletion BFS's key of t, or None when t is strong."""
+    parts = _strong_components(t.out_masks)
+    if len(parts) == 1:
+        return None
+    return speed._condensation_key(speed._key_segments(t.out_masks, parts))
+
+
+def assert_keys_name_classes(tournaments):
+    """Among the non-strong tournaments given, equal condensation keys
+    hold exactly when the canonical codes are equal."""
+    classes_of_key, keys_of_class = {}, {}
+    for t in tournaments:
+        key = condensation_key(t)
+        if key is None:
+            continue
+        code = (t.n, canon.canonical_code(t.n, t.bits))
+        classes_of_key.setdefault(key, set()).add(code)
+        keys_of_class.setdefault(code, set()).add(key)
+    assert classes_of_key
+    assert all(len(codes) == 1 for codes in classes_of_key.values())
+    assert all(len(keys) == 1 for keys in keys_of_class.values())
+
+
+class TestCondensationKey:
+    """A non-strong tournament's key is a leading 1, then per strong
+    component its size in 6 bits and, from 4 vertices, its canonical code."""
+
+    def test_every_labelled_tournament_up_to_six(self):
+        assert_keys_name_classes(t for n in range(7) for t in all_labelled(n))
+
+    def test_two_relabellings_of_every_class_up_to_eight(self, all_classes_8):
+        rng = random.Random(33)
+
+        def relabellings():
+            for n in all_classes_8.levels():
+                for t in all_classes_8.members(n):
+                    for _ in range(2):
+                        perm = list(range(n))
+                        rng.shuffle(perm)
+                        yield t.relabel(perm)
+
+        assert_keys_name_classes(relabellings())
+
+    def test_layout(self):
+        # cyclic(4) above a vertex above a cyclic triangle
+        t = concat(make_cyclic(4), make_T((1, 3)))
+        c4 = canon.canonical_code(4, make_cyclic(4).bits)
+        assert condensation_key(t) == ((1 << 6 | 4) << 6 | c4) << 12 | 1 << 6 | 3
+
+    def test_strong_tournaments_get_none(self):
+        assert condensation_key(make_cyclic(5)) is None
+        assert condensation_key(make_T((3,))) is None
+
+
 class TestClosureAgainstUnpruned:
     """One deletion per automorphism orbit, with the stabilisers handed
     down, finds the classes that deleting every vertex finds."""
@@ -213,10 +290,15 @@ class TestClosureAgainstUnpruned:
             lambda: [paley(11)],
             lambda: [paley(19)],
             lambda: [make_cyclic(m) for m in range(1, 13)],
+            # children whose strong components have 4 or more vertices
+            lambda: [concat(paley(7), concat(make_cyclic(5), make_T((3, 1))))],
+            lambda: [concat(make_T((1, 3)), concat(paley(7), make_cyclic(4)))],
+            lambda: [concat(random_tournament(6, 1), concat(make_cyclic(4), random_tournament(6, 2)))],
         ],
         ids=[
             "T-sums-12", "blowup-11-11-11", "blowup-12-12-1", "blowup-8-8-8",
             "moon2", "paley11", "paley19", "cyclic-12",
+            "paley7+cyclic5+T31", "T13+paley7+cyclic4", "random6+cyclic4+random6",
         ],
     )
     def test_every_level(self, build):

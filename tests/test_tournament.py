@@ -314,6 +314,18 @@ class TestStrongComponents:
             t = t.relabel(perm)
             assert _strong_components(t.out_masks) == brute_strong_components(t), t
 
+    def test_within_a_vertex_mask(self):
+        # the components of the sub-tournament on keep, in the host's labels
+        for n in range(6):
+            for t in all_labelled(n):
+                for keep in range(1 << n):
+                    vs = [v for v in range(n) if keep >> v & 1]
+                    want = [
+                        sum(1 << v for i, v in enumerate(vs) if part >> i & 1)
+                        for part in brute_strong_components(t.induced(vs))
+                    ]
+                    assert _strong_components(t.out_masks, keep) == want, (t, keep)
+
 
 class _Truthy:
     """Truthy or not by a flag, through ``__bool__``."""
