@@ -4,25 +4,31 @@ verify holds the paper's counts and bounds built on it, beside their cases.
 Two enumeration strategies back the speed tables.  Both keep levels as
 canonical codes, and so does a SpeedTable: only its forms are lines.
 
-* deletion BFS (hereditary_closure): start from the canonical forms of
-  large seed tournaments and repeatedly delete single vertices with
-  per-level canonical dedup.  Right when seed families are given as a few
-  large members and every level is wanted.  Each kept class carries
-  automorphisms of its canonical representative, found by its canonical
-  search.  Only one vertex per orbit of those automorphisms is deleted,
-  since t - v and t - g(v) are isomorphic.  Each child's search is handed
-  the automorphisms that fix the deleted vertex, which restrict to
-  automorphisms of the child, so it need not rediscover them.  A child
-  with two or more strong components is searched only when its
-  condensation key is new on the level: the condensation is transitive,
-  so the sequence of its components' classes names its class, and the
-  key spells that sequence (_condensation_key) with no search unless a
-  component has 4 or more vertices.  Its components are the parent's,
-  with the one that held the deleted vertex replaced by the components
-  of what is left of it.  A strong child of a strong parent is searched
-  once per distinct labelled code instead.  The search runs on
-  out-masks: each kept class's are built once from its code, and each
-  child's are squeezed out of its parent's (_induced_out).
+* deletion BFS (hereditary_closure): start from large seed tournaments
+  and repeatedly delete single vertices with per-level dedup.  Right when
+  seed families are given as a few large members and every level is
+  wanted.  Each kept class carries automorphisms of its representative.
+  Only one vertex per orbit of those automorphisms is deleted, since
+  t - v and t - g(v) are isomorphic, and each child is handed the
+  automorphisms that fix the deleted vertex, which restrict to
+  automorphisms of the child.  A child with two or more strong
+  components is named by its condensation key: the condensation is
+  transitive, so the sequence of its components' classes names its
+  class, and the key spells that sequence (_condensation_key) with no
+  search unless a component has 4 or more vertices.  Its components are
+  the parent's, with the one that held the deleted vertex replaced by the
+  components of what is left of it, read off that component's out-degree
+  buckets (_components_less).  On a recorded level (n <= n_max) such a child
+  is searched only when its key is new on the level, and a strong child
+  of a strong parent once per distinct labelled code.  A level above
+  n_max is walked, not recorded: its non-strong classes are held under
+  their keys with their out-masks and automorphisms, never searched, and
+  a non-strong seed there takes its automorphisms from its components (a
+  rotation per cyclic triangle, one search per larger component).  Its
+  strong classes are still searched, since only a canonical code tells
+  them apart.  The search runs on out-masks: each searched class's are
+  built once from its code, and each child's are squeezed out of its
+  parent's (_induced_out).
 
 * extension BFS (avoidance_closure): grow members one vertex at a time
   inside a forbidden-pattern property, checking only subsets through the
@@ -60,7 +66,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .canon import (
@@ -73,6 +79,9 @@ from .canon import (
 from .tournament import (
     InfeasibleSizeError,
     Tournament,
+    _components_less,
+    _condense,
+    _degree_buckets,
     _delete_bits,
     _induced_out,
     _pack,
@@ -155,8 +164,10 @@ class _Budget:
     """Running byte estimate of what a closure keeps, checked each time a
     class is added: a byte a pair for its code (an int takes 4 bytes per 30
     pairs) plus bookkeeping, and for each automorphism kept beside it, its
-    tuple (8 bytes an image) with header and list slot.  A code held only
-    while a level is built is charged the same and released after it."""
+    tuple (8 bytes an image) with header and list slot; a held class's
+    out-masks count as one more such tuple.  A code held only while a level
+    is built is charged the same and released after it, and so is a level
+    the closure drops."""
 
     def __init__(self, limit: int, what: str):
         self.limit = limit
@@ -172,8 +183,10 @@ class _Budget:
                 f"partial results discarded"
             )
 
-    def release(self, level: int, codes: int) -> None:
-        self.used -= codes * (pair_count(level) + _FORM_OVERHEAD)
+    def release(self, level: int, codes: int, gens: int = 0) -> None:
+        self.used -= codes * (pair_count(level) + _FORM_OVERHEAD) + gens * (
+            _GEN_OVERHEAD + 8 * level
+        )
 
 
 def _key_segments(out: Sequence[int], parts: Iterable[int]) -> list[tuple[int, int]]:
@@ -209,10 +222,51 @@ def _condensation_key(segments: Iterable[tuple[int, int]], key: int = 1) -> int:
     return key
 
 
+def _fixing(gens: Iterable[Sequence[int]], v: int) -> list[tuple[int, ...]]:
+    """The automorphisms among ``gens`` that fix v, restricted to t - v
+    (the other vertices relabelled in order): t - v's own."""
+    return [tuple([y - (y > v) for y in g[:v] + g[v + 1 :]]) for g in gens if g[v] == v]
+
+
+def _held_seed(out: Sequence[int], parts: Iterable[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """Condensation key and automorphism generators of a non-strong seed
+    with out-masks ``out`` and strong components ``parts``, with one
+    search of each component of 4 or more vertices and none of the whole.
+
+    An automorphism keeps each strong component, so the group is the
+    product of the components' groups: a vertex has none, a cyclic
+    triangle its rotation, and a larger component the generators its
+    search finds, each lifted to fix every vertex outside it."""
+    segments = []
+    gens = []
+    for part in parts:
+        size = part.bit_count()
+        verts = [v for v in range(len(out)) if part >> v & 1]
+        if size > 3:
+            width = pair_count(size)
+            code, _, _, autos = _search(_induced_out(out, part))
+            segments.append((size << width | code, 6 + width))
+            local = [g for g, _ in autos]
+        else:
+            segments.append((size, 6))
+            # shifting a cyclic triangle's vertices one place along their
+            # label order is a rotation of it, whichever way its arcs run
+            local = [(1, 2, 0)] if size == 3 else []
+        for g in local:
+            lifted = list(range(len(out)))
+            for i, x in enumerate(verts):
+                lifted[x] = verts[g[i]]
+            gens.append(tuple(lifted))
+    return _condensation_key(segments), gens
+
+
 def hereditary_closure(
     seeds: Sequence[Tournament], n_max: int, *, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> SpeedTable:
-    """Level-by-level deletion BFS from the seeds, recording levels <= n_max."""
+    """Level-by-level deletion BFS from the seeds, recording levels <= n_max
+    (see the module docstring).  A level above n_max holds its non-strong
+    classes unsearched, and is dropped, its charge released, once its
+    children are built."""
     if not seeds:
         raise ValueError("need at least one seed tournament")
     for s in seeds:
@@ -222,32 +276,57 @@ def hereditary_closure(
             )
     # level -> canonical code -> automorphisms of its representative
     levels: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    # level above n_max -> condensation key -> (out-masks, automorphisms)
+    held: dict[int, dict[int, tuple[Sequence[int], list[tuple[int, ...]]]]] = {}
     budget = _Budget(mem_budget, "closure")
-    for s in seeds:
-        code, gens = canonical_code_and_automorphisms(s.out_masks)
-        bucket = levels.setdefault(s.n, {})
-        if code not in bucket:
-            bucket[code] = gens
-            budget.charge(s.n, len(bucket), len(gens))
 
-    top = max(levels)
+    def kept(n: int) -> int:
+        return len(levels.get(n, ())) + len(held.get(n, ()))
+
+    for s in seeds:
+        parts = _strong_components(s.out_masks)
+        if s.n > n_max and len(parts) > 1:
+            key, gens = _held_seed(s.out_masks, parts)
+            bucket = held.setdefault(s.n, {})
+            if key not in bucket:
+                bucket[key] = (s.out_masks, gens)
+                # its out-masks are charged as one more tuple of n entries
+                budget.charge(s.n, kept(s.n), len(gens) + 1)
+        else:
+            code, gens = canonical_code_and_automorphisms(s.out_masks)
+            bucket = levels.setdefault(s.n, {})
+            if code not in bucket:
+                bucket[code] = gens
+                budget.charge(s.n, kept(s.n), len(gens))
+
+    top = max(levels.keys() | held.keys())
     for size in range(top, 1, -1):
-        cur = levels[size]  # not empty: the level above, or a seed, reached it
+        cur = levels.setdefault(size, {})
+        cur_held = held.pop(size, {})
         child = levels.setdefault(size - 1, {})
+        child_held = held.setdefault(size - 1, {})
+        hold = size - 1 > n_max  # the children's level is walked, not recorded
         built: set[int] = set()  # labelled strong children already canonicalised
         keyed: set[int] = set()  # condensation keys of the other children searched
-        for code, gens in cur.items():
-            out = bits_to_out_masks(size, code)  # each child's is derived from it
-            full = (1 << size) - 1
-            parts = _strong_components(out)
-            strong = len(parts) == 1
+        full = (1 << size) - 1
+        # one loop over the level: a searched class's out-masks are decoded
+        # from its code, a held class's were kept, and each child's are
+        # derived from them
+        classes = chain(
+            ((c, bits_to_out_masks(size, c), gens) for c, gens in cur.items()),
+            ((None, out, gens) for out, gens in cur_held.values()),
+        )
+        for code, out, gens in classes:
+            # the strong components, each with its out-degree buckets
+            comps = _condense(_degree_buckets(out))
+            strong = len(comps) == 1  # then it is a searched class, with a code
             # a strong parent's one segment, itself, is in no child's key
-            segments = [(0, 0)] if strong else _key_segments(out, parts)
+            segments = [(0, 0)] if strong else _key_segments(out, [p for p, _ in comps])
             # head: the key up to the part at hand; tail: the segments after it
             head = 1
             tail = _condensation_key(segments)
             tail_width = tail.bit_length() - 1
-            for part, (bits, width) in zip(parts, segments):
+            for (part, buckets), (bits, width) in zip(comps, segments):
                 tail_width -= width
                 tail &= (1 << tail_width) - 1
                 # an automorphism keeps each strong component, so its
@@ -264,35 +343,44 @@ def hereditary_closure(
                             continue
                     # the child's components: the parent's, with this part
                     # replaced by the components of what is left of it
-                    rest = _strong_components(out, part ^ low)
+                    rest = _components_less(buckets, out[v], low)
                     if strong and len(rest) == 1:
                         built.add(sub)
                     else:
                         sub = _condensation_key(_key_segments(out, rest), head)
                         sub = sub << tail_width | tail
-                        if sub in keyed:
+                        if sub in keyed or sub in child_held:
+                            continue
+                        if hold and len(comps) + len(rest) > 2:
+                            # two or more components: its key names its class
+                            known = _fixing(gens, v)
+                            child_held[sub] = (_induced_out(out, full ^ low), known)
+                            budget.charge(size - 1, kept(size - 1), len(known) + 1)
                             continue
                         keyed.add(sub)
-                    budget.charge(size - 1, len(child))
+                    budget.charge(size - 1, kept(size - 1))
                     # an automorphism fixing v restricts to one of t - v
-                    known = [
-                        tuple([y - (y > v) for y in g[:v] + g[v + 1 :]])
-                        for g in gens
-                        if g[v] == v
-                    ]
-                    child_out = _induced_out(out, full ^ low)
-                    cc, cgens = canonical_code_and_automorphisms(child_out, known)
+                    cc, cgens = canonical_code_and_automorphisms(
+                        _induced_out(out, full ^ low), _fixing(gens, v)
+                    )
                     if cc not in child:
                         child[cc] = cgens
-                        budget.charge(size - 1, len(child), len(cgens))
+                        budget.charge(size - 1, kept(size - 1), len(cgens))
                 head = head << width | bits
         budget.release(size - 1, len(built) + len(keyed))
+        if size > n_max:  # never recorded: dropped, and its charge released
+            del levels[size]
+            budget.release(
+                size,
+                len(cur) + len(cur_held),
+                sum(map(len, cur.values())) + sum(len(g) + 1 for _, g in cur_held.values()),
+            )
 
     table = SpeedTable(
         seed=f"{len(seeds)} seed(s), max size {top}",
         codes={n: frozenset(lv) for n, lv in sorted(levels.items()) if n <= n_max},
     )
-    del levels  # frees automorphisms and levels above n_max before the self-check
+    del levels, held  # frees automorphisms before the self-check
     if not table.is_downward_closed():
         raise AssertionError(
             "self-check failed: a one-vertex deletion of a closure member "

@@ -150,21 +150,79 @@ def _strong_components(out: Sequence[int], keep: int = -1) -> list[int]:
     itself of its own, so one of an earlier component has the larger
     out-degree: vertices of equal out-degree share a component, and the
     prefixes are read a whole out-degree at a time."""
-    at: dict[int, int] = {}  # out-degree -> the vertices with it
+    return [part for part, _ in _condense(_degree_buckets(out, keep))]
+
+
+def _degree_buckets(out: Sequence[int], keep: int = -1) -> list[tuple[int, int]]:
+    """(out-degree, the vertices with it) of the sub-tournament on the
+    vertex mask ``keep``, in ascending out-degree."""
+    at: dict[int, int] = {}
     for v, o in enumerate(out):
         if keep >> v & 1:
             d = (o & keep).bit_count()
             at[d] = at.get(d, 0) | 1 << v
+    return sorted(at.items())
+
+
+def _components_less(buckets: Sequence[tuple[int, int]], beaten: int, low: int) -> list[int]:
+    """The strong components, as vertex masks in condensation order, of a
+    tournament less its vertex ``low`` (a one-bit mask) that beats
+    ``beaten``, read off the tournament's degree buckets (_condense): the
+    vertices that beat it drop one out-degree, the others keep theirs.  A
+    bucket's droppers follow the keepers of the bucket below, whose
+    out-degree is at most theirs, so the prefixes are read as _condense
+    reads them; two runs of one out-degree may stand side by side, and a
+    prefix cut between them is still a run of whole components."""
     parts: list[int] = []
     part = total = k = 0
-    for d in sorted(at):
-        part |= at[d]
-        size = at[d].bit_count()
+    drops = ~beaten & ~low
+    for d, vs in buckets:
+        # the two runs are unrolled: a loop over them costs half as much again
+        run = vs & drops
+        if run:
+            part |= run
+            size = run.bit_count()
+            k += size
+            total += size * (d - 1)
+            if total == k * (k - 1) // 2:
+                parts.append(part)
+                part = 0
+        run = vs & beaten
+        if run:
+            part |= run
+            size = run.bit_count()
+            k += size
+            total += size * d
+            if total == k * (k - 1) // 2:
+                parts.append(part)
+                part = 0
+    return parts[::-1]
+
+
+def _condense(buckets: Iterable[tuple[int, int]]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Each strong component, in condensation order, of a tournament given
+    by its nonempty degree buckets in ascending out-degree
+    (_strong_components), with the component's own degree buckets.
+
+    A prefix of k vertices whose out-degrees sum to C(k, 2) loses to every
+    other vertex, so it is a run of whole components wherever it is cut.
+    A vertex beats every vertex of the later components, the ones the scan
+    met first, so its out-degree within its own is its out-degree less
+    their size."""
+    parts: list[tuple[int, list[tuple[int, int]]]] = []
+    run: list[tuple[int, int]] = []
+    part = total = k = below = 0
+    for d, vs in buckets:
+        run.append((d - below, vs))
+        part |= vs
+        size = vs.bit_count()
         k += size
         total += size * d
         if total == k * (k - 1) // 2:
-            parts.append(part)
+            parts.append((part, run))
+            run = []
             part = 0
+            below = k
     return parts[::-1]
 
 

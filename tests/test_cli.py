@@ -263,6 +263,14 @@ def test_verify_olarge_past_the_float_range(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_verify_olarge_over_its_cap_exits_3(capsys):
+    n_max = tourneykit.verify.OLARGE_N_MAX + 1
+    code, out, err = _run(capsys, ["verify", "olarge", "--n-max", str(n_max)])
+    assert code == 3
+    assert out == ""
+    assert f"olarge checks n_max up to {n_max - 1}, got {n_max}" in err
+
+
 @pytest.mark.parametrize(
     "argv, call",
     [

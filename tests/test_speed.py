@@ -50,6 +50,7 @@ from tourneykit import (
     make_moon_tower,
     pair_count,
     random_tournament,
+    substitute,
     type1_tn_classes,
 )
 from tourneykit.tournament import _strong_components
@@ -166,10 +167,23 @@ class TestHereditaryClosure:
             hereditary_closure([make_T((3,) * 8)], 24, mem_budget=2_058_207)
         assert _budget_stop(exc.value) == (1, 1)
 
+    def test_memory_budget_stops_on_a_held_level(self):
+        # the seed is held on level 18: 153 + 64 bytes, and its six
+        # triangle rotations and out-masks as seven tuples of 48 + 8 * 18
+        # bytes, 1,561 in all.  Each child held on level 17 keeps the five
+        # rotations that fix the deleted vertex: 136 + 64 + 6 * 184 =
+        # 1,304 bytes, and the second takes the total to 4,169
+        with pytest.raises(BudgetExceededError) as exc:
+            hereditary_closure([make_T((3,) * 6)], 10, mem_budget=4168)
+        assert _budget_stop(exc.value) == (17, 2)
+        hereditary_closure([make_T((3,) * 6)], 10, mem_budget=1 << 20)
+
     def test_one_search_per_class(self, monkeypatch):
         # every child of a stacked-triangle member below level 4 or above
         # has two or more strong components, so the closure searches each
-        # class it keeps once: the 1,276 classes of levels 1-17
+        # class it records once: the 404 classes of levels 1-14.  The seeds
+        # (level 17) and levels 15-16 are held under their keys, and their
+        # components have 1 or 3 vertices, so nothing is searched there
         real = speed.canonical_code_and_automorphisms
         calls = []
 
@@ -178,9 +192,10 @@ class TestHereditaryClosure:
             return real(out, known)
 
         monkeypatch.setattr(speed, "canonical_code_and_automorphisms", counted)
+        monkeypatch.setattr(speed, "_search", lambda *a: pytest.fail("a seed component searched"))
         t_family_table(17, 14)
-        assert len(calls) == sum(fstar(n) for n in range(1, 18)) == 1276
-        assert all(calls.count(n) == fstar(n) for n in range(1, 18))
+        assert len(calls) == sum(fstar(n) for n in range(1, 15)) == 404
+        assert all(calls.count(n) == fstar(n) for n in range(1, 15))
 
     def test_self_check_survives_optimize(self):
         code = (
@@ -218,6 +233,12 @@ class TestHereditaryClosure:
 def paley(p):
     qr = {(x * x) % p for x in range(1, p)}
     return Tournament.from_beats(p, lambda i, j: (j - i) % p in qr)
+
+
+def triangle_of(block):
+    """The cyclic triangle with its first vertex replaced by ``block``."""
+    one = make_T((1,))
+    return substitute(make_cyclic(3), [block, one, one])
 
 
 def condensation_key(t):
@@ -324,6 +345,77 @@ class TestClosureAgainstUnpruned:
         top = max(s.n for s in seeds)
         assert hereditary_closure(seeds, top).forms == unpruned_hereditary_closure(
             seeds, top
+        )
+
+    @pytest.mark.parametrize(
+        "build, n_max",
+        [
+            # held seeds with a component of 4 or more vertices, searched
+            # once each for its generators
+            (lambda: [concat(paley(7), concat(make_cyclic(5), make_T((3, 1))))], 9),
+            (lambda: [concat(make_T((1, 3)), concat(paley(7), make_cyclic(4)))], 8),
+            (lambda: [concat(random_tournament(6, 1), concat(make_cyclic(4), random_tournament(6, 2)))], 10),
+            (lambda: [concat(paley(11), paley(11))], 14),
+            # components whose groups are not transitive: a cyclic
+            # triangle with one vertex replaced by a strong block
+            (lambda: [concat(make_T((1,)), triangle_of(paley(7)))], 8),
+            (lambda: [concat(triangle_of(make_cyclic(5)), make_T((3,)))], 6),
+            (lambda: [concat(triangle_of(make_T((3, 3))), make_cyclic(4))], 6),
+            # held classes with a strong child: a strong H with one or two
+            # vertices above or below it leaves H once they are deleted
+            (lambda: [concat(make_T((1,)), paley(7))], 6),
+            (lambda: [concat(make_T((1,)), paley(11))], 8),
+            (lambda: [concat(paley(7), make_T((1, 1)))], 5),
+            # seeds on both sides of n_max, strong and not
+            (
+                lambda: [
+                    concat(make_cyclic(5), make_T((1, 3))),
+                    concat(paley(7), make_T((1,))),
+                    paley(7),
+                    make_T((1, 3)),
+                    make_cyclic(3),
+                ],
+                7,
+            ),
+        ],
+        ids=[
+            "paley7+cyclic5+T31", "T13+paley7+cyclic4", "random6+cyclic4+random6",
+            "paley11+paley11", "vertex+tri(paley7)", "tri(cyclic5)+T3", "tri(T33)+cyclic4",
+            "vertex+paley7", "vertex+paley11", "paley7+T11",
+            "both-sides",
+        ],
+    )
+    def test_levels_below_held_ones(self, build, n_max):
+        seeds = build()
+        assert max(s.n for s in seeds) > n_max
+        assert hereditary_closure(seeds, n_max).forms == unpruned_hereditary_closure(
+            seeds, n_max
+        )
+
+    @given(
+        st.lists(
+            st.integers(1, 5).flatmap(
+                lambda n: st.builds(
+                    Tournament, st.just(n), st.integers(0, (1 << pair_count(n)) - 1)
+                )
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        st.randoms(use_true_random=False),
+        st.integers(1, 11),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_relabelled_non_strong_seeds_below_top(self, blocks, rng, n_max):
+        seed = blocks[0]
+        for b in blocks[1:]:
+            seed = concat(seed, b)
+        perm = list(range(seed.n))
+        rng.shuffle(perm)
+        seed = seed.relabel(perm)
+        n_max = min(n_max, seed.n - 1)
+        assert hereditary_closure([seed], n_max).forms == unpruned_hereditary_closure(
+            [seed], n_max
         )
 
 

@@ -35,6 +35,9 @@ from tourneykit import (
 )
 from tourneykit.tournament import (
     _PAIR_BITS,
+    _components_less,
+    _condense,
+    _degree_buckets,
     _delete_bits,
     _induced_out,
     _row_major_pairs,
@@ -325,6 +328,34 @@ class TestStrongComponents:
                         for part in brute_strong_components(t.induced(vs))
                     ]
                     assert _strong_components(t.out_masks, keep) == want, (t, keep)
+
+    def test_each_component_gets_its_own_buckets(self):
+        # a component's out-degrees within it are its out-degrees less the
+        # size of the components after it
+        for n in range(7):
+            for t in all_labelled(n):
+                out = t.out_masks
+                for part, buckets in _condense(_degree_buckets(out)):
+                    assert buckets == _degree_buckets(out, part), (t, part)
+
+    def test_less_a_vertex_from_the_buckets(self):
+        # every vertex of every component, on every labelled n <= 6 and on
+        # relabelled substitutions whose components reach 7 vertices
+        rng = random.Random(34)
+        hosts = [t for n in range(7) for t in all_labelled(n)]
+        for _ in range(300):
+            k = rng.randrange(1, 5)
+            t = substitute(transitive(k), [random_tournament(rng.randrange(1, 8), rng) for _ in range(k)])
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            hosts.append(t.relabel(perm))
+        for t in hosts:
+            out = t.out_masks
+            for part, buckets in _condense(_degree_buckets(out)):
+                for v in range(t.n):
+                    if part >> v & 1:
+                        got = _components_less(buckets, out[v], 1 << v)
+                        assert got == _strong_components(out, part ^ 1 << v), (t, v)
 
 
 class _Truthy:

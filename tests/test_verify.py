@@ -9,7 +9,7 @@ from functools import cache
 
 import pytest
 
-from tourneykit import fstar, verify
+from tourneykit import InfeasibleSizeError, fstar, verify
 from tourneykit.cli import run
 from tourneykit.verify import LEMMA_IDS, run_lemma
 
@@ -112,3 +112,18 @@ def test_a_wrong_count_fails_its_case(relation, monkeypatch, capsys):
 def test_a_non_integer_parameter_is_named(lemma_id, params, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         run_lemma(lemma_id, **params)
+
+
+def test_olarge_over_its_cap_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a case was built past the cap")
+
+    monkeypatch.setattr(verify, "_fstar_terms", no_work)
+    monkeypatch.setattr(verify, "count_tn_lower", no_work)
+    # CI runs olarge at n_max 1,100
+    assert verify.OLARGE_N_MAX >= 1100
+    message = f"olarge checks n_max up to {verify.OLARGE_N_MAX}, got {verify.OLARGE_N_MAX + 1}"
+    with pytest.raises(InfeasibleSizeError, match=re.escape(message)):
+        run_lemma("olarge", n_max=verify.OLARGE_N_MAX + 1)
+    with pytest.raises(InfeasibleSizeError):
+        verify.check_olarge(10**9)
